@@ -5,8 +5,8 @@
 //! and delta widths. The delta legs should scale with the delta; the full /
 //! cold legs with the cluster.
 
-use bench::service::{PlacementService, SnapshotDelta, SnapshotStore};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use infinitehbd::orchestrator::service::{PlacementService, SnapshotDelta, SnapshotStore};
 use infinitehbd::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

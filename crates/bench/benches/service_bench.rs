@@ -4,8 +4,8 @@
 //! its scratch per query (`orchestrate_par` per query, the path every answer
 //! is pinned bit-identical to), plus the raw snapshot-store swap/load costs.
 
-use bench::service::{PlacementQuery, PlacementService, SnapshotStore};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use infinitehbd::orchestrator::service::{PlacementQuery, PlacementService, SnapshotStore};
 use infinitehbd::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

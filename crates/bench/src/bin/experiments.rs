@@ -1,18 +1,23 @@
-//! The evaluation driver: runs every registered experiment in-process,
-//! regenerates `EXPERIMENTS.md` and writes a machine-readable
-//! `bench_results.json` (per-experiment wall-clock included) for trend
-//! tracking.
+//! The evaluation driver and the one entry point of the harness: runs every
+//! registered experiment in-process, regenerates `EXPERIMENTS.md` and writes
+//! a machine-readable `bench_results.json` (per-experiment wall-clock
+//! included) for trend tracking.
 //!
 //! ```text
 //! cargo run --release --bin experiments -- --threads 4
 //! cargo run --release --bin experiments -- --scale 0.05 --md EXPERIMENTS.smoke.md --out smoke.json
-//! cargo run --release --bin experiments -- --only fig17 --json
+//! cargo run --release --bin experiments -- --only fig14_waste_vs_fault --seed 7
+//! cargo run --release --bin experiments -- --only table6_cost_power --json
+//! cargo run --release --bin experiments -- --only fig17
 //! cargo run --release --bin experiments -- --list
 //! ```
 //!
-//! With `--only <substring>` the run is a partial preview: results go to
-//! stdout only and no files are written (a partial `EXPERIMENTS.md` would
-//! masquerade as the full evaluation).
+//! With `--only <name>` the run is a partial preview: results go to stdout
+//! only and no files are written (a partial `EXPERIMENTS.md` would
+//! masquerade as the full evaluation). A name that matches an experiment
+//! exactly selects that experiment alone; any other value selects every
+//! experiment whose name contains it (`--only fig17` runs the four Fig 17
+//! sweeps).
 //!
 //! With `--sim-seed <N> --sim-profile <name>` the driver instead replays
 //! exactly one ordering of the control-plane fault-injection simulator (the
@@ -20,209 +25,266 @@
 //! profile), prints the full report and exits non-zero if the convergence
 //! invariant was violated — the one-command reproduction path for any failing
 //! seed the sweep reports. The two flags are only meaningful together, so
-//! giving exactly one of them is a usage error (a lone `--sim-profile` used
-//! to be silently ignored; a lone `--sim-seed` silently picked a profile).
+//! giving exactly one of them is a usage error.
+//!
+//! Exit status: 0 on success, 2 on a usage error (reported before any
+//! experiment runs), 1 when a run fails — a replayed seed violates its
+//! invariant, or an output file cannot be written.
 
-use bench::registry::{self, RunCtx};
-use bench::{HarnessArgs, Table, USAGE};
+use bench::experiments::sim_seeds;
+use bench::registry::{self, Experiment, RunCtx};
+use bench::Table;
 use std::time::Instant;
 
-const DRIVER_USAGE: &str = "usage: experiments [--seed <u64>] [--threads <n>] [--scale <f64>] \
-     [--json] [--only <substring>] [--md <path>] [--out <path>] [--bench-json <path>] \
+const USAGE: &str = "usage: experiments [--seed <u64>] [--threads <n>] [--scale <f64>] \
+     [--json] [--only <name>] [--md <path>] [--out <path>] [--bench-json <path>] \
      [--compare <old bench_results.json>] [--warn-over <factor>] [--list] \
      [--sim-seed <u64> --sim-profile <name>]";
 
+/// The parsed and validated command line.
 struct DriverArgs {
-    common: HarnessArgs,
-    only: Option<String>,
+    /// Seed, worker threads and scale factor of the run.
+    ctx: RunCtx,
+    /// Print the collated JSON to stdout.
+    json: bool,
+    /// The experiments to run: the whole registry, or the `--only` selection.
+    selected: Vec<&'static Experiment>,
+    /// `--only` was given: a stdout preview that writes no files.
+    partial: bool,
     md_path: String,
     out_path: String,
-    bench_json: Option<String>,
-    compare: Option<String>,
+    /// The criterion records read from `--bench-json`.
+    microbenches: Vec<serde_json::Value>,
+    /// The `--compare` path and the wall-clocks read from it (or why they
+    /// could not be read).
+    compare: Option<(String, Result<WallClocks, String>)>,
     warn_over: Option<f64>,
     list: bool,
-    sim_seed: Option<u64>,
-    sim_profile: Option<String>,
+    /// `--sim-seed` and `--sim-profile`, which only come together.
+    sim: Option<(u64, String)>,
 }
 
-fn parse_driver_args() -> DriverArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (common, leftover) = match HarnessArgs::try_parse(&argv) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("error: {message}\n{USAGE}\n{DRIVER_USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let mut driver = DriverArgs {
-        common,
-        only: None,
-        md_path: "EXPERIMENTS.md".to_string(),
-        out_path: "bench_results.json".to_string(),
-        bench_json: None,
-        compare: None,
-        warn_over: None,
-        list: false,
-        sim_seed: None,
-        sim_profile: None,
-    };
-    let mut i = 0;
-    while i < leftover.len() {
-        match leftover[i].as_str() {
-            "--only" => {
-                driver.only = Some(require_value(&leftover, &mut i, "--only"));
+/// Parses and validates the command line. Every usage error surfaces here,
+/// before any experiment runs: a malformed, missing or unknown flag, flags
+/// that only make sense together, an `--only` that selects nothing, an
+/// unknown simulator profile, and `--bench-json` / `--warn-over` inputs that
+/// cannot be used.
+fn parse(argv: &[String]) -> Result<DriverArgs, String> {
+    let mut ctx = RunCtx::default();
+    let mut json = false;
+    let mut only = None;
+    let mut md_path = "EXPERIMENTS.md".to_string();
+    let mut out_path = "bench_results.json".to_string();
+    let mut bench_json = None;
+    let mut compare = None;
+    let mut warn_over = None;
+    let mut list = false;
+    let mut sim_seed = None;
+    let mut sim_profile = None;
+    let mut rest = argv.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match flag.as_str() {
+            "--seed" => ctx.seed = parsed(flag, &value()?, "a u64")?,
+            "--threads" => {
+                ctx.threads = parsed(flag, &value()?, "a positive integer")?;
+                if ctx.threads == 0 {
+                    return Err("--threads must be at least 1".to_string());
+                }
             }
-            "--md" => {
-                driver.md_path = require_value(&leftover, &mut i, "--md");
+            "--scale" => {
+                let text = value()?;
+                ctx.scale = parsed(flag, &text, "a float")?;
+                if !(ctx.scale > 0.0 && ctx.scale.is_finite()) {
+                    return Err(format!(
+                        "--scale must be a positive finite number, got {text}"
+                    ));
+                }
             }
-            "--out" => {
-                driver.out_path = require_value(&leftover, &mut i, "--out");
-            }
-            "--bench-json" => {
-                driver.bench_json = Some(require_value(&leftover, &mut i, "--bench-json"));
-            }
-            "--compare" => {
-                driver.compare = Some(require_value(&leftover, &mut i, "--compare"));
-            }
+            "--json" => json = true,
+            "--only" => only = Some(value()?),
+            "--md" => md_path = value()?,
+            "--out" => out_path = value()?,
+            "--bench-json" => bench_json = Some(value()?),
+            "--compare" => compare = Some(value()?),
             "--warn-over" => {
-                let value = require_value(&leftover, &mut i, "--warn-over");
-                match value.parse::<f64>() {
-                    Ok(factor) if factor >= 1.0 => driver.warn_over = Some(factor),
-                    _ => {
-                        eprintln!(
-                            "error: --warn-over needs a factor >= 1.0, got '{value}'\n{DRIVER_USAGE}"
-                        );
-                        std::process::exit(2);
-                    }
+                let text = value()?;
+                match text.parse::<f64>() {
+                    Ok(factor) if factor >= 1.0 => warn_over = Some(factor),
+                    _ => return Err(format!("--warn-over needs a factor >= 1.0, got '{text}'")),
                 }
             }
-            "--sim-seed" => {
-                let value = require_value(&leftover, &mut i, "--sim-seed");
-                match value.parse::<u64>() {
-                    Ok(seed) => driver.sim_seed = Some(seed),
-                    Err(_) => {
-                        eprintln!("error: --sim-seed needs a u64, got '{value}'\n{DRIVER_USAGE}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--sim-profile" => {
-                driver.sim_profile = Some(require_value(&leftover, &mut i, "--sim-profile"));
-            }
-            "--list" => driver.list = true,
-            other => {
-                eprintln!("error: unknown argument '{other}'\n{DRIVER_USAGE}");
-                std::process::exit(2);
-            }
+            "--sim-seed" => sim_seed = Some(parsed(flag, &value()?, "a u64")?),
+            "--sim-profile" => sim_profile = Some(value()?),
+            "--list" => list = true,
+            other => return Err(format!("unknown argument '{other}'")),
         }
-        i += 1;
     }
-    // Cross-flag validation: reject combinations that used to be silently
-    // ignored (or silently defaulted) before any experiment runs.
-    match (&driver.sim_seed, &driver.sim_profile) {
+    let sim = match (sim_seed, sim_profile) {
+        (Some(seed), Some(profile)) => {
+            if sim_seeds::profile(&profile).is_none() {
+                let known: Vec<&str> = sim_seeds::profiles().iter().map(|(n, _)| *n).collect();
+                return Err(format!(
+                    "unknown --sim-profile '{profile}' (known: {})",
+                    known.join(", ")
+                ));
+            }
+            Some((seed, profile))
+        }
         (Some(_), None) => {
-            eprintln!(
-                "error: --sim-seed requires --sim-profile <name> (run the sim_seeds experiment \
-                 or see its module docs for the profile names)\n{DRIVER_USAGE}"
-            );
-            std::process::exit(2);
+            return Err(
+                "--sim-seed requires --sim-profile <name> (run the sim_seeds \
+                        experiment or see its module docs for the profile names)"
+                    .to_string(),
+            )
         }
         (None, Some(_)) => {
-            eprintln!(
-                "error: --sim-profile is only meaningful together with --sim-seed <u64>\
-                 \n{DRIVER_USAGE}"
-            );
-            std::process::exit(2);
+            return Err(
+                "--sim-profile is only meaningful together with --sim-seed <u64>".to_string(),
+            )
         }
-        _ => {}
+        (None, None) => None,
+    };
+    let compare = compare.map(|path| {
+        let baseline = read_wall_clocks(&path);
+        (path, baseline)
+    });
+    if warn_over.is_some() {
+        match &compare {
+            None => {
+                return Err(
+                    "--warn-over needs a --compare <old bench_results.json> baseline \
+                            to check against"
+                        .to_string(),
+                )
+            }
+            Some((_, Err(error))) => return Err(format!("--warn-over baseline {error}")),
+            Some((_, Ok(_))) => {}
+        }
     }
-    if driver.warn_over.is_some() && driver.compare.is_none() {
-        eprintln!(
-            "error: --warn-over needs a --compare <old bench_results.json> baseline to check \
-             against\n{DRIVER_USAGE}"
-        );
-        std::process::exit(2);
-    }
-    driver
+    let microbenches = match bench_json.as_deref() {
+        Some(path) => load_microbenches(path)?,
+        None => Vec::new(),
+    };
+    Ok(DriverArgs {
+        ctx,
+        json,
+        selected: select(only.as_deref())?,
+        partial: only.is_some(),
+        md_path,
+        out_path,
+        microbenches,
+        compare,
+        warn_over,
+        list,
+        sim,
+    })
 }
 
-/// Eagerly validates a `--compare` baseline that `--warn-over` will gate on:
-/// it must be readable, parse as JSON and carry at least one experiment
-/// wall-clock. Without `--warn-over` a broken baseline still degrades to a
-/// skipped (informational) comparison, but a gating flag pointing at nothing
-/// is a usage error — and it fails *before* the experiments run, not after.
-fn validate_compare_baseline(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|error| {
-        eprintln!("error: --warn-over baseline {path} is unreadable: {error}\n{DRIVER_USAGE}");
-        std::process::exit(2);
-    });
-    let old: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|error| {
-        eprintln!("error: --warn-over baseline {path} is malformed JSON: {error}\n{DRIVER_USAGE}");
-        std::process::exit(2);
-    });
-    let has_wall_clocks = old
+/// Parses a flag's value, naming the flag and the expected type on failure.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str, expected: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("malformed {flag} value '{value}' (expected {expected})"))
+}
+
+/// The experiments an `--only` value selects: the exact match if there is
+/// one, otherwise every experiment whose name contains the value. Without
+/// `--only`, the whole registry.
+fn select(only: Option<&str>) -> Result<Vec<&'static Experiment>, String> {
+    let Some(needle) = only else {
+        return Ok(registry::all().iter().collect());
+    };
+    if needle.is_empty() {
+        return Err("--only needs a non-empty experiment name (try --list)".to_string());
+    }
+    if let Some(exact) = registry::find(needle) {
+        return Ok(vec![exact]);
+    }
+    let matches: Vec<_> = registry::all()
+        .iter()
+        .filter(|e| e.name.contains(needle))
+        .collect();
+    if matches.is_empty() {
+        return Err(format!(
+            "--only '{needle}' matches no experiment (try --list)"
+        ));
+    }
+    Ok(matches)
+}
+
+/// `(experiment name, wall_ms)` pairs of an older `bench_results.json`.
+type WallClocks = Vec<(String, f64)>;
+
+/// Reads the experiment wall-clocks of an older `bench_results.json`: the
+/// file must be readable, parse as JSON and hold at least one.
+fn read_wall_clocks(path: &str) -> Result<WallClocks, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|error| format!("{path} is unreadable: {error}"))?;
+    let old: serde_json::Value = serde_json::from_str(&text)
+        .map_err(|error| format!("{path} is malformed JSON: {error}"))?;
+    let clocks: WallClocks = old
         .get("experiments")
         .and_then(|e| e.as_array())
-        .is_some_and(|records| {
+        .map(|records| {
             records
                 .iter()
-                .any(|r| r.get("name").is_some() && r.get("wall_ms").is_some())
-        });
-    if !has_wall_clocks {
-        eprintln!(
-            "error: --warn-over baseline {path} has no experiment wall-clocks to compare \
-             against\n{DRIVER_USAGE}"
-        );
-        std::process::exit(2);
+                .filter_map(|record| {
+                    Some((
+                        record.get("name")?.as_str()?.to_string(),
+                        record.get("wall_ms")?.as_f64()?,
+                    ))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    if clocks.is_empty() {
+        return Err(format!(
+            "{path} has no experiment wall-clocks to compare against"
+        ));
     }
+    Ok(clocks)
 }
 
-fn require_value(argv: &[String], i: &mut usize, flag: &str) -> String {
-    match argv.get(*i + 1) {
-        Some(value) => {
-            *i += 1;
-            value.clone()
-        }
-        None => {
-            eprintln!("error: {flag} requires a value\n{DRIVER_USAGE}");
-            std::process::exit(2);
-        }
-    }
+/// Reads the JSON-lines file the criterion shim appends to (one record per
+/// micro-benchmark, see `CRITERION_JSON` in `shims/criterion`). A missing or
+/// malformed file is an error: the flag promises baselines.
+fn load_microbenches(path: &str) -> Result<Vec<serde_json::Value>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read --bench-json {path}: {e}"))?;
+    text.lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| {
+            serde_json::from_str(line)
+                .map_err(|e| format!("malformed record in --bench-json {path}: {e}"))
+        })
+        .collect()
 }
 
 struct ExperimentRun {
-    name: &'static str,
-    group: &'static str,
-    summary: &'static str,
+    experiment: &'static Experiment,
     wall_ms: f64,
     tables: Vec<Table>,
 }
 
 /// Replays one seeded ordering of the control-plane simulator with the
 /// `sim_seeds` experiment's exact configuration, printing the full report.
-/// Exit status 0 = converged with zero invariant violations, 1 = violated —
-/// so a failing seed from the sweep reproduces with a single command.
+/// Exit status 0 = converged with zero invariant violations, 1 = violated (or
+/// the simulation failed to run) — so a failing seed from the sweep
+/// reproduces with a single command.
 fn replay_sim_seed(seed: u64, profile_name: &str) -> ! {
-    use bench::experiments::sim_seeds;
     use infinitehbd::control::sim;
 
-    let Some(message_faults) = sim_seeds::profile(profile_name) else {
-        let known: Vec<&str> = sim_seeds::profiles().iter().map(|(n, _)| *n).collect();
-        eprintln!(
-            "error: unknown --sim-profile '{profile_name}' (known: {})",
-            known.join(", ")
-        );
-        std::process::exit(2);
-    };
     let mut config = sim_seeds::base_config();
-    config.message_faults = message_faults;
-    let report = match sim::run(&config, seed) {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("error: simulation failed to run: {error}");
-            std::process::exit(2);
-        }
-    };
+    config.message_faults = sim_seeds::profile(profile_name).expect("validated at parse");
+    let report = sim::run(&config, seed).unwrap_or_else(|error| {
+        eprintln!("error: simulation failed to run: {error}");
+        std::process::exit(1);
+    });
     println!(
         "{}",
         serde_json::to_string_pretty(&report).expect("serialisable report")
@@ -245,15 +307,25 @@ fn replay_sim_seed(seed: u64, profile_name: &str) -> ! {
     std::process::exit(if ok { 0 } else { 1 });
 }
 
-fn main() {
-    let args = parse_driver_args();
-    if let Some(seed) = args.sim_seed {
-        let profile = args.sim_profile.as_deref().expect("validated at parse");
-        replay_sim_seed(seed, profile);
+/// Writes one output file, or reports the failure and exits 1.
+fn write_output(path: &str, contents: String) {
+    if let Err(error) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {path}: {error}");
+        std::process::exit(1);
     }
-    if args.warn_over.is_some() {
-        let path = args.compare.as_deref().expect("validated at parse");
-        validate_compare_baseline(path);
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse(&argv) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("error: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if let Some((seed, profile)) = &args.sim {
+        replay_sim_seed(*seed, profile);
     }
     if args.list {
         for experiment in registry::all() {
@@ -265,27 +337,10 @@ fn main() {
         return;
     }
 
-    let ctx = RunCtx::from_args(&args.common);
-    let selected: Vec<_> = registry::all()
-        .iter()
-        .filter(|e| {
-            args.only
-                .as_deref()
-                .map(|needle| e.name.contains(needle))
-                .unwrap_or(true)
-        })
-        .collect();
-    if selected.is_empty() {
-        eprintln!(
-            "error: --only '{}' matches no experiment (try --list)",
-            args.only.as_deref().unwrap_or("")
-        );
-        std::process::exit(2);
-    }
-
+    let ctx = args.ctx;
     let total_start = Instant::now();
-    let mut runs: Vec<ExperimentRun> = Vec::with_capacity(selected.len());
-    for experiment in &selected {
+    let mut runs: Vec<ExperimentRun> = Vec::with_capacity(args.selected.len());
+    for &experiment in &args.selected {
         let start = Instant::now();
         let tables = (experiment.run)(&ctx);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -297,31 +352,29 @@ fn main() {
             if tables.len() == 1 { "" } else { "s" }
         );
         runs.push(ExperimentRun {
-            name: experiment.name,
-            group: experiment.group,
-            summary: experiment.summary,
+            experiment,
             wall_ms,
             tables,
         });
     }
     let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
 
-    let microbenches = load_microbenches(args.bench_json.as_deref());
-
-    if let Some(path) = args.compare.as_deref() {
-        print_wall_clock_deltas(path, &runs, args.warn_over);
+    match &args.compare {
+        Some((path, Ok(old_runs))) => {
+            print_wall_clock_deltas(path, old_runs, &runs, args.warn_over)
+        }
+        Some((_, Err(error))) => eprintln!("compare: {error} (skipping)"),
+        None => {}
     }
 
-    if args.common.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&collate_json(&ctx, &runs, &microbenches))
-                .expect("serialisable")
-        );
+    let collated = serde_json::to_string_pretty(&collate_json(&ctx, &runs, &args.microbenches))
+        .expect("serialisable");
+    if args.json {
+        println!("{collated}");
     }
 
-    if args.only.is_some() {
-        if !args.common.json {
+    if args.partial {
+        if !args.json {
             for run in &runs {
                 for table in &run.tables {
                     table.print_text();
@@ -332,17 +385,8 @@ fn main() {
         return;
     }
 
-    std::fs::write(&args.md_path, render_markdown(&ctx, &runs))
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.md_path));
-    std::fs::write(
-        &args.out_path,
-        format!(
-            "{}\n",
-            serde_json::to_string_pretty(&collate_json(&ctx, &runs, &microbenches))
-                .expect("serialisable")
-        ),
-    )
-    .unwrap_or_else(|e| panic!("cannot write {}: {e}", args.out_path));
+    write_output(&args.md_path, render_markdown(&ctx, &runs));
+    write_output(&args.out_path, format!("{collated}\n"));
     eprintln!(
         "wrote {} and {} ({} experiments, {:.1} s total)",
         args.md_path,
@@ -352,80 +396,31 @@ fn main() {
     );
 }
 
-/// Reads the JSON-lines file the criterion shim appends to (one record per
-/// micro-benchmark, see `CRITERION_JSON` in `shims/criterion`). A missing or
-/// malformed file is a hard error: the flag promises baselines.
-fn load_microbenches(path: Option<&str>) -> Vec<serde_json::Value> {
-    let Some(path) = path else {
-        return Vec::new();
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read --bench-json {path}: {e}");
-        std::process::exit(2);
-    });
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(|line| {
-            serde_json::from_str::<serde_json::Value>(line).unwrap_or_else(|e| {
-                eprintln!("error: malformed record in --bench-json {path}: {e}");
-                std::process::exit(2);
-            })
-        })
-        .collect()
-}
-
 /// Prints per-experiment wall-clock deltas against an older
 /// `bench_results.json` to stderr. Strictly informational and non-fatal —
 /// wall-clock is machine-dependent, so the report surfaces regressions for a
-/// human (or CI log reader) without gating anything: unreadable or malformed
-/// baselines degrade to a warning. (With `--warn-over` the baseline has
-/// already been validated up front, so the degrade paths are plain-`--compare`
-/// only.)
+/// human (or CI log reader) without gating anything. (Without `--warn-over`,
+/// a baseline that cannot be read degrades to a one-line skip in `main`.)
 ///
 /// With `warn_over = Some(factor)` the report additionally ends with a
 /// visible summary of every experiment whose wall-clock grew to at least
 /// `factor ×` its baseline (still non-fatal; sub-millisecond regressions are
 /// ignored as timer noise).
-fn print_wall_clock_deltas(path: &str, runs: &[ExperimentRun], warn_over: Option<f64>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!("compare: cannot read {path}: {error} (skipping)");
-            return;
-        }
-    };
-    let old: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(value) => value,
-        Err(error) => {
-            eprintln!("compare: malformed JSON in {path}: {error} (skipping)");
-            return;
-        }
-    };
-    let old_runs: Vec<(&str, f64)> = old
-        .get("experiments")
-        .and_then(|e| e.as_array())
-        .map(|records| {
-            records
-                .iter()
-                .filter_map(|record| {
-                    Some((
-                        record.get("name")?.as_str()?,
-                        record.get("wall_ms")?.as_f64()?,
-                    ))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    if old_runs.is_empty() {
-        eprintln!("compare: {path} has no experiment wall-clocks (skipping)");
-        return;
-    }
+fn print_wall_clock_deltas(
+    path: &str,
+    old_runs: &[(String, f64)],
+    runs: &[ExperimentRun],
+    warn_over: Option<f64>,
+) {
     eprintln!("compare: wall-clock vs {path} (informational, machine-dependent)");
     let mut old_total = 0.0;
     let mut new_total = 0.0;
     let mut regressions: Vec<(&str, f64, f64)> = Vec::new();
     for run in runs {
-        match old_runs.iter().find(|(name, _)| *name == run.name) {
+        match old_runs
+            .iter()
+            .find(|(name, _)| *name == run.experiment.name)
+        {
             Some(&(_, old_ms)) => {
                 let delta = if old_ms > 0.0 {
                     (run.wall_ms - old_ms) / old_ms * 100.0
@@ -436,18 +431,21 @@ fn print_wall_clock_deltas(path: &str, runs: &[ExperimentRun], warn_over: Option
                 new_total += run.wall_ms;
                 eprintln!(
                     "  {:28} {:>9.1} -> {:>9.1} ms  {:>+7.1}%",
-                    run.name, old_ms, run.wall_ms, delta
+                    run.experiment.name, old_ms, run.wall_ms, delta
                 );
                 if let Some(factor) = warn_over {
                     // Sub-millisecond experiments regress by whole factors on
                     // timer noise alone; only flag measurable growth.
                     if old_ms > 0.0 && run.wall_ms >= old_ms * factor && run.wall_ms - old_ms >= 1.0
                     {
-                        regressions.push((run.name, old_ms, run.wall_ms));
+                        regressions.push((run.experiment.name, old_ms, run.wall_ms));
                     }
                 }
             }
-            None => eprintln!("  {:28}       new -> {:>9.1} ms", run.name, run.wall_ms),
+            None => eprintln!(
+                "  {:28}       new -> {:>9.1} ms",
+                run.experiment.name, run.wall_ms
+            ),
         }
     }
     if old_total > 0.0 {
@@ -494,9 +492,9 @@ fn collate_json(
         .map(|run| {
             let tables: Vec<serde_json::Value> = run.tables.iter().map(Table::to_json).collect();
             serde_json::json!({
-                "name": run.name,
-                "group": run.group,
-                "summary": run.summary,
+                "name": run.experiment.name,
+                "group": run.experiment.group,
+                "summary": run.experiment.summary,
                 "wall_ms": run.wall_ms,
                 "tables": tables,
             })
@@ -552,24 +550,116 @@ fn render_markdown(ctx: &RunCtx, runs: &[ExperimentRun]) -> String {
     for run in runs {
         out.push_str(&format!(
             "| [`{name}`](#{name}) | {} | {} |\n",
-            run.group,
-            run.summary,
-            name = run.name
+            run.experiment.group,
+            run.experiment.summary,
+            name = run.experiment.name
         ));
     }
     out.push('\n');
 
     let mut current_group = "";
     for run in runs {
-        if run.group != current_group {
-            current_group = run.group;
+        if run.experiment.group != current_group {
+            current_group = run.experiment.group;
             out.push_str(&format!("## {current_group}\n\n"));
         }
-        out.push_str(&format!("### {}\n\n{}\n\n", run.name, run.summary));
+        out.push_str(&format!(
+            "### {}\n\n{}\n\n",
+            run.experiment.name, run.experiment.summary
+        ));
         for table in &run.tables {
             out.push_str(&table.to_markdown());
             out.push('\n');
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &str) -> Vec<String> {
+        args.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn parse_ok(args: &str) -> DriverArgs {
+        parse(&argv(args)).unwrap_or_else(|message| panic!("'{args}' must parse: {message}"))
+    }
+
+    fn parse_err(args: &str) -> String {
+        match parse(&argv(args)) {
+            Ok(_) => panic!("'{args}' must be rejected"),
+            Err(message) => message,
+        }
+    }
+
+    fn names(selected: &[&Experiment]) -> Vec<&'static str> {
+        selected.iter().map(|e| e.name).collect()
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let args = parse_ok(
+            "--seed 7 --threads 4 --scale 0.5 --json --only fig14_waste_vs_fault \
+             --md a.md --out b.json --list",
+        );
+        assert_eq!(
+            args.ctx,
+            RunCtx {
+                seed: 7,
+                threads: 4,
+                scale: 0.5
+            }
+        );
+        assert!(args.json && args.partial && args.list);
+        assert_eq!(names(&args.selected), ["fig14_waste_vs_fault"]);
+        assert_eq!(
+            (args.md_path.as_str(), args.out_path.as_str()),
+            ("a.md", "b.json")
+        );
+
+        let defaults = parse_ok("");
+        assert_eq!(defaults.ctx, RunCtx::default());
+        assert!(!defaults.json && !defaults.partial && !defaults.list);
+        assert_eq!(defaults.selected.len(), registry::all().len());
+        assert_eq!(defaults.md_path, "EXPERIMENTS.md");
+    }
+
+    #[test]
+    fn malformed_seed_is_an_error_not_a_silent_default() {
+        let err = parse_err("--seed not-a-number");
+        assert!(err.contains("malformed --seed"), "{err}");
+        // A missing value is an error too.
+        let err = parse_err("--seed");
+        assert!(err.contains("--seed requires a value"), "{err}");
+    }
+
+    #[test]
+    fn malformed_threads_and_scale_are_errors() {
+        assert!(parse_err("--threads zero").contains("malformed --threads"));
+        assert!(parse_err("--threads 0").contains("at least 1"));
+        assert!(parse_err("--scale -1").contains("positive finite"));
+        assert!(parse_err("--scale nope").contains("malformed --scale"));
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors() {
+        let err = parse_err("--seed 7 --no-such-flag");
+        assert!(err.contains("unknown argument '--no-such-flag'"), "{err}");
+        let err = parse_err("fig14");
+        assert!(err.contains("unknown argument 'fig14'"), "{err}");
+    }
+
+    #[test]
+    fn only_falls_back_to_substrings_when_no_name_matches_exactly() {
+        // `appg_alltoall` is also a substring of `appg_alltoall_fastswitch`.
+        let exact = parse_ok("--only appg_alltoall");
+        assert_eq!(names(&exact.selected), ["appg_alltoall"]);
+        let substring = parse_ok("--only appg_");
+        assert_eq!(
+            names(&substring.selected),
+            ["appg_alltoall", "appg_alltoall_fastswitch"]
+        );
+    }
 }

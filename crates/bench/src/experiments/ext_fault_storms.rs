@@ -26,12 +26,12 @@
 //! backoff jitter and breaker transitions all live in modeled time.
 
 use crate::experiments::ext_service_throughput::{build_stream, mean_interarrival_us};
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
 use infinitehbd::dcn::jobmix::ExclusionLedger;
 use infinitehbd::fault::storm::{generate_storms, StormConfig};
 use infinitehbd::fault::NodeEventKind;
+use infinitehbd::hbd_types::par::stream_seed;
 use infinitehbd::hbd_types::{BackoffSchedule, BreakerConfig, Seconds};
 use infinitehbd::orchestrator::admission::{AdmissionConfig, ShedPolicy};
 use infinitehbd::orchestrator::client::{

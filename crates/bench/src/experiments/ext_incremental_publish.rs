@@ -5,14 +5,14 @@
 //! driven across a chain of delta-published epochs on a 4k-node Fat-Tree.
 //! Each epoch flips a fixed number of seeded exclusion bits (occupations,
 //! faults and releases against the live set) through
-//! [`SnapshotStore::publish_delta`](crate::service::SnapshotStore), then a
+//! [`SnapshotStore::publish_delta`](infinitehbd::orchestrator::service::SnapshotStore), then a
 //! fixed probe batch forces the service to materialize its shared scratches
 //! for the new epoch — *patched* forward from the previous epoch's scratches,
 //! re-orchestrating only the sub-line segments whose fault words changed.
 //!
 //! The table reports, per churn rate, how many segments the patches
 //! re-orchestrated versus carried over (from
-//! [`PatchTally`](crate::service::PatchTally)) and prices both publish paths
+//! [`PatchTally`](infinitehbd::orchestrator::service::PatchTally)) and prices both publish paths
 //! with the same deterministic cost model as the throughput experiment: a
 //! cold scratch build costs `build_us(nodes)` and a patched build the
 //! re-orchestrated fraction of it. Every cell is bit-stable in the seed and
@@ -20,11 +20,13 @@
 //! the `service_oracle` / `service_delta` suites; the patch statistics are a
 //! deterministic function of the delta chain).
 
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
-use crate::service::{PlacementQuery, PlacementService, SnapshotDelta, SnapshotStore};
 use crate::{fmt, Table};
+use infinitehbd::hbd_types::par::stream_seed;
 use infinitehbd::hbd_types::NodeId;
+use infinitehbd::orchestrator::service::{
+    PlacementQuery, PlacementService, SnapshotDelta, SnapshotStore,
+};
 use infinitehbd::orchestrator::{FatTreeOrchestrator, OrchestrationRequest};
 use infinitehbd::topology::{FatTree, FaultSet};
 use rand::rngs::StdRng;

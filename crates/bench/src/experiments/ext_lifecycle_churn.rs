@@ -8,11 +8,11 @@
 //! saturation knee, here produced by the real placement kernel rather than a
 //! closed-form queue.
 
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
 use infinitehbd::cluster::lifecycle::simulate;
 use infinitehbd::cluster::Workload;
+use infinitehbd::hbd_types::par::stream_seed;
 use infinitehbd::hbd_types::Seconds;
 use infinitehbd::orchestrator::FatTreeOrchestrator;
 use infinitehbd::topology::FatTree;

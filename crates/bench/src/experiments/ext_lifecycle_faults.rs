@@ -8,13 +8,13 @@
 //! the static waste-ratio sweep (Fig 14), with the control plane's failover
 //! pricing in the loop.
 
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
 use infinitehbd::cluster::lifecycle::simulate;
 use infinitehbd::cluster::Workload;
 use infinitehbd::fault::sim_events::generate_events;
 use infinitehbd::fault::GeneratorConfig;
+use infinitehbd::hbd_types::par::stream_seed;
 use infinitehbd::hbd_types::Seconds;
 use infinitehbd::orchestrator::FatTreeOrchestrator;
 use infinitehbd::topology::FatTree;

@@ -13,13 +13,13 @@
 //! per-failover-command terms), never wall-clock, so every cell is bit-stable
 //! in the seed and invariant in `--threads`.
 
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
 use infinitehbd::cluster::lifecycle::{simulate, LifecycleConfig, PlacementLatencyModel};
 use infinitehbd::cluster::{JobTemplate, Workload};
 use infinitehbd::fault::sim_events::generate_events;
 use infinitehbd::fault::GeneratorConfig;
+use infinitehbd::hbd_types::par::stream_seed;
 use infinitehbd::hbd_types::Seconds;
 use infinitehbd::orchestrator::{FatTreeOrchestrator, OrchestrationRequest};
 use infinitehbd::topology::FatTree;

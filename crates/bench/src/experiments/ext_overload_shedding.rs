@@ -26,9 +26,10 @@
 //! and invariant in `--threads`.
 
 use crate::experiments::ext_service_throughput::{build_stream, mean_interarrival_us};
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
+use infinitehbd::hbd_types::par::stream_seed;
+use infinitehbd::hbd_types::stats;
 use infinitehbd::orchestrator::admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, Disposition, ShedPolicy, Ticket,
 };
@@ -65,12 +66,7 @@ struct DriveOutcome {
 
 impl DriveOutcome {
     fn percentile_ms(&self, q: f64) -> f64 {
-        if self.sojourns_ms.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.sojourns_ms.clone();
-        sorted.sort_by(f64::total_cmp);
-        infinitehbd::fault::stats::percentile(&sorted, q)
+        stats::interpolated_or_zero(&self.sojourns_ms, q)
     }
 
     /// Answered queries per modeled second of makespan.

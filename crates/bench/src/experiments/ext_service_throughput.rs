@@ -10,7 +10,7 @@
 //! arrived, up to a cap, and answers each batch against one pinned epoch.
 //!
 //! Latency is a **deterministic model**, never wall-clock: the per-query
-//! [`QueryCost`](crate::service::QueryCost) counters and batch-level
+//! [`QueryCost`](infinitehbd::orchestrator::service::QueryCost) counters and batch-level
 //! scratch build/reuse counters are
 //! priced by the shared [`ModeledLatency`] model (fixed per-probe /
 //! per-search / per-build terms scaled by cluster size, dealt round-robin
@@ -20,11 +20,12 @@
 //! seed and invariant in `--threads` (the batch answers themselves are pinned
 //! thread-invariant by the `service_oracle` suite).
 
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
 use infinitehbd::fault::sim_events::{generate_events, NodeEvent, NodeEventKind};
 use infinitehbd::fault::GeneratorConfig;
+use infinitehbd::hbd_types::par::stream_seed;
+use infinitehbd::hbd_types::stats;
 use infinitehbd::hbd_types::{NodeId, Seconds};
 use infinitehbd::orchestrator::service::{
     ModeledLatency, PlacementAnswer, PlacementQuery, PlacementService, SnapshotStore,
@@ -142,12 +143,7 @@ struct StreamOutcome {
 
 impl StreamOutcome {
     fn sojourn_percentile(&self, q: f64) -> f64 {
-        if self.sojourns_ms.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.sojourns_ms.clone();
-        sorted.sort_by(f64::total_cmp);
-        infinitehbd::fault::stats::percentile(&sorted, q)
+        stats::interpolated_or_zero(&self.sojourns_ms, q)
     }
 }
 

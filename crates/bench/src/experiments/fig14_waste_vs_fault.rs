@@ -5,9 +5,9 @@
 //! pool with one RNG stream per shard, so the curves depend only on the master
 //! seed — never on `--threads`.
 
-use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
+use infinitehbd::hbd_types::par::stream_seed;
 use infinitehbd::prelude::*;
 
 pub fn run(ctx: &RunCtx) -> Vec<Table> {

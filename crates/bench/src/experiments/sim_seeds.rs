@@ -12,11 +12,11 @@
 //! All aggregate columns are integer sums over per-seed integer counters, so
 //! the table is bit-stable across `--threads` by construction.
 
-use crate::par::par_map_seeded;
 use crate::registry::RunCtx;
 use crate::Table;
 use infinitehbd::control::sim;
 use infinitehbd::control::{ControlLatencies, MessageFaults, SimConfig};
+use infinitehbd::hbd_types::par::par_map_seeded;
 use infinitehbd::hbd_types::Seconds;
 
 /// The deployment and fault-arrival regime every profile replays: a 48-node

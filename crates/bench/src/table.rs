@@ -1,11 +1,8 @@
 //! The unit of experiment output: a titled table.
 //!
 //! Experiments return `Vec<Table>`; the harness renders tables as aligned
-//! plain text (the historical binary output), JSON documents (the `--json`
-//! path and `bench_results.json`) or GitHub-flavoured markdown
-//! (`EXPERIMENTS.md`).
-
-use crate::print_series;
+//! plain text (the `--only` preview), JSON documents (the `--json` path and
+//! `bench_results.json`) or GitHub-flavoured markdown (`EXPERIMENTS.md`).
 
 /// One titled table of experiment results. Cells are pre-formatted strings so
 /// that text, JSON and markdown renderings are guaranteed to agree.
@@ -35,8 +32,7 @@ impl Table {
         table
     }
 
-    /// The JSON document for this table — the same shape the harness binaries
-    /// have always printed with `--json`: the title under `"experiment"` and
+    /// The JSON document for this table: the title under `"experiment"` and
     /// one string-valued object per row.
     pub fn to_json(&self) -> serde_json::Value {
         let records: Vec<serde_json::Value> = self
@@ -84,8 +80,19 @@ impl Table {
 
     /// Prints the table as aligned plain-text columns.
     pub fn print_text(&self) {
-        let header_refs: Vec<&str> = self.header.iter().map(|s| s.as_str()).collect();
-        print_series(&self.title, &header_refs, &self.rows);
+        let line = |cells: &[String]| {
+            cells
+                .iter()
+                .map(|c| format!("{c:>16}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        println!("== {} ==", self.title);
+        println!("{}", line(&self.header));
+        for row in &self.rows {
+            println!("{}", line(row));
+        }
+        println!();
     }
 }
 

@@ -8,6 +8,10 @@
 //! gating flag into a no-op exactly when the baseline was broken. All of
 //! them must now fail fast with exit code 2 and a clear message, *before*
 //! any experiment runs (which also keeps these spawned-process tests cheap).
+//!
+//! The last tests pin `--only` as the way to run one experiment (an exact
+//! name selects that experiment alone; an empty value is a usage error) and
+//! that an output file that cannot be written is a clean exit 1, not a panic.
 
 use std::process::{Command, Output};
 
@@ -110,13 +114,62 @@ fn warn_over_still_validates_its_factor() {
 
 #[test]
 fn an_unmatched_only_filter_is_rejected() {
-    let output = run_driver(&["--only", "no_such_experiment_name"]);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("matches no experiment"), "got: {stderr}");
+    assert_usage_error(
+        &["--only", "no_such_experiment_name"],
+        "matches no experiment",
+    );
 }
 
 #[test]
 fn unknown_flags_are_rejected() {
     assert_usage_error(&["--no-such-flag"], "unknown argument '--no-such-flag'");
+}
+
+#[test]
+fn an_empty_only_filter_is_rejected() {
+    assert_usage_error(&["--only", ""], "--only needs a non-empty experiment name");
+}
+
+#[test]
+fn an_exact_only_name_runs_that_experiment_alone() {
+    // `appg_alltoall` is also a prefix of `appg_alltoall_fastswitch`, which a
+    // substring match would run too.
+    let output = run_driver(&["--only", "appg_alltoall", "--scale", "0.05", "--json"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let json: serde_json::Value = serde_json::from_str(&String::from_utf8_lossy(&output.stdout))
+        .expect("--json prints one JSON document");
+    let names: Vec<&str> = json
+        .get("experiments")
+        .and_then(|e| e.as_array())
+        .expect("experiments array")
+        .iter()
+        .map(|record| {
+            record
+                .get("name")
+                .and_then(|n| n.as_str())
+                .expect("named record")
+        })
+        .collect();
+    assert_eq!(names, ["appg_alltoall"]);
+}
+
+#[test]
+fn an_unwritable_output_path_fails_without_a_panic() {
+    // A regular file used as a directory component can never be written
+    // through.
+    let dir = std::env::temp_dir().join("driver_flags_unwritable");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("not_a_dir");
+    std::fs::write(&file, "").expect("write placeholder");
+    let md = file.join("E.md");
+    let md = md.to_str().unwrap();
+    let output = run_driver(&["--scale", "0.01", "--md", md]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("error: cannot write {md}")),
+        "got: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "got: {stderr}");
 }

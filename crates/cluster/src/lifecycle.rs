@@ -32,6 +32,7 @@ use control::{FailoverPlanner, RingPlan};
 use dcn::jobmix::ExclusionLedger;
 use fault::sim_events::{NodeEvent, NodeEventKind};
 use hbd_types::sim::{EventQueue, SimClock};
+use hbd_types::stats;
 use hbd_types::{HbdError, NodeId, Result, Seconds};
 use orchestrator::service::{PlacementService, SnapshotStore};
 use orchestrator::{FatTreeOrchestrator, OrchestrationRequest, PlacementScheme};
@@ -344,23 +345,14 @@ impl LifecycleOutcome {
     /// Percentile of the initial queueing delays (0.0 when no job was
     /// admitted).
     pub fn queue_delay_percentile(&self, q: f64) -> f64 {
-        percentile_of(&self.queue_delays, q)
+        stats::interpolated_or_zero(&self.queue_delays, q)
     }
 
     /// Percentile of the modeled placement latencies (0.0 when no placement
     /// succeeded).
     pub fn placement_latency_percentile(&self, q: f64) -> f64 {
-        percentile_of(&self.placement_latencies, q)
+        stats::interpolated_or_zero(&self.placement_latencies, q)
     }
-}
-
-fn percentile_of(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    fault::stats::percentile(&sorted, q)
 }
 
 /// The discrete events of the lifecycle loop.

@@ -51,6 +51,7 @@ use crate::maxmin::MaxMinSolver;
 use crate::network::DcnNetwork;
 use crate::traffic::JobTraffic;
 use hbd_types::par::par_try_map;
+use hbd_types::stats;
 use hbd_types::{GBps, Result, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -295,7 +296,7 @@ pub fn replay_mix_par(
                 1.0
             },
             mean_stretch,
-            p99_stretch: percentile_sorted(&sorted, 0.99),
+            p99_stretch: p99_stretch(&sorted),
             epoch_times: shared.epoch_times[j].clone(),
         });
     }
@@ -307,16 +308,15 @@ pub fn replay_mix_par(
     })
 }
 
-/// Nearest-rank percentile (`q` in `0..=1`) of an already **sorted** sample;
-/// 1.0 for an empty sample (the neutral stretch). Callers keep one sorted
+/// Nearest-rank p99 of an already **sorted** stretch sample; 1.0 (the
+/// neutral stretch) when the job had no DCN epoch. Callers keep one sorted
 /// scratch buffer instead of cloning and sorting per call.
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn p99_stretch(sorted: &[f64]) -> f64 {
     if sorted.is_empty() {
-        return 1.0;
+        1.0
+    } else {
+        stats::nearest_rank(sorted, 0.99)
     }
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1] || w[1].is_nan()));
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Loads the next epoch instance of job `state`, completing instantly any
@@ -876,10 +876,9 @@ mod tests {
 
     #[test]
     fn percentile_is_nearest_rank() {
-        assert_eq!(percentile_sorted(&[], 0.99), 1.0);
-        assert_eq!(percentile_sorted(&[2.0], 0.99), 2.0);
+        assert_eq!(p99_stretch(&[]), 1.0);
+        assert_eq!(p99_stretch(&[2.0]), 2.0);
         let v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile_sorted(&v, 0.99), 99.0);
-        assert_eq!(percentile_sorted(&v, 0.5), 50.0);
+        assert_eq!(p99_stretch(&v), 99.0);
     }
 }

@@ -15,7 +15,7 @@
 //! * [`convert`] — the Appendix-A Bayesian conversion of an 8-GPU-node trace
 //!   into a 4-GPU-node trace,
 //! * [`stats`] — the macro statistics of Fig 18 (fault-ratio time series, CDF,
-//!   percentiles),
+//!   p50/p99),
 //! * [`model`] — the i.i.d. node-fault model used for the "waste ratio vs fault
 //!   ratio" sweeps (Figs 14 and 22),
 //! * [`montecarlo`] — the parallel Monte-Carlo fan-out over (ratio, trial)

@@ -3,6 +3,7 @@
 //! and p99 annotations).
 
 use crate::trace::FaultTrace;
+use hbd_types::stats::interpolated;
 use hbd_types::Seconds;
 use serde::{Deserialize, Serialize};
 
@@ -38,8 +39,8 @@ impl TraceStats {
         let mean_ratio = ratios.iter().sum::<f64>() / ratios.len() as f64;
         TraceStats {
             mean_ratio,
-            p50_ratio: percentile(&ratios, 0.50),
-            p99_ratio: percentile(&ratios, 0.99),
+            p50_ratio: interpolated(&ratios, 0.50),
+            p99_ratio: interpolated(&ratios, 0.99),
             max_ratio: *ratios.last().unwrap_or(&0.0),
             series,
         }
@@ -62,24 +63,6 @@ impl TraceStats {
     pub fn daily(trace: &FaultTrace) -> Self {
         let days = (trace.duration().value() / DAY_SECONDS).ceil().max(1.0) as usize;
         Self::compute(trace, days)
-    }
-}
-
-/// Percentile of an already-sorted slice using nearest-rank interpolation.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(
-        !sorted.is_empty(),
-        "cannot take a percentile of an empty slice"
-    );
-    assert!((0.0..=1.0).contains(&q), "quantile must lie in [0, 1]");
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
@@ -119,22 +102,6 @@ mod tests {
         assert_eq!(cdf.len(), 50);
         assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
         assert!(cdf.windows(2).all(|w| w[1].1 >= w[0].1 && w[1].0 >= w[0].0));
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let data = vec![0.0, 1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&data, 0.0), 0.0);
-        assert_eq!(percentile(&data, 1.0), 4.0);
-        assert_eq!(percentile(&data, 0.5), 2.0);
-        assert!((percentile(&data, 0.25) - 1.0).abs() < 1e-12);
-        assert!((percentile(&data, 0.9) - 3.6).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty slice")]
-    fn percentile_of_empty_slice_panics() {
-        let _ = percentile(&[], 0.5);
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub mod ids;
 pub mod par;
 pub mod robust;
 pub mod sim;
+pub mod stats;
 pub mod units;
 
 pub use config::{ClusterConfig, GpuSpec, NodeSize};

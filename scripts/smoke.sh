@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+# cargo fmt only reaches modules it can see outside macros, and the experiment
+# modules are declared by the registry! list in experiments/mod.rs, so check
+# them directly (fix: rustfmt --edition 2021 crates/bench/src/experiments/*.rs).
+rustfmt --edition 2021 --check crates/bench/src/experiments/*.rs
 
 echo "==> cargo build --release"
 cargo build --release

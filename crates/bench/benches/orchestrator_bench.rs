@@ -3,7 +3,9 @@
 //! `dcn_free_kernel` group pitting the linear-scan placement kernel against
 //! the graph + DFS formulation it replaced (kept in the orchestrator as a
 //! `#[cfg(test)]` oracle; re-stated here so the ratio is measured on every
-//! bench pass and lands in `bench_results.json`).
+//! bench pass and lands in `bench_results.json`). `fat_tree_orchestration`
+//! and `max_orchestratable_job` time the constraint search and the job-size
+//! search end to end, scratch build included, up to a 16,384-node cluster.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use infinitehbd::orchestrator::{orchestrate_dcn_free, TpGroup};
@@ -82,15 +84,21 @@ fn bench_dcn_free_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// A `nodes`-node Fat-Tree (16 nodes per ToR, 8 ToRs per domain) with 5 %
+/// seeded IID faults.
+fn faulty_cluster(nodes: usize, seed: u64) -> (FatTreeOrchestrator, FaultSet) {
+    let orch = FatTreeOrchestrator::new(FatTree::new(nodes, 16, 8).unwrap()).unwrap();
+    let faults = FaultSet::from_nodes(
+        IidFaultModel::new(nodes, 0.05).sample_exact(&mut StdRng::seed_from_u64(seed)),
+    );
+    (orch, faults)
+}
+
 fn bench_orchestration(c: &mut Criterion) {
     let mut group = c.benchmark_group("fat_tree_orchestration");
     group.sample_size(20);
-    for nodes in [512usize, 2048, 8192] {
-        let tree = FatTree::new(nodes, 16, 8).unwrap();
-        let orch = FatTreeOrchestrator::new(tree).unwrap();
-        let faults = FaultSet::from_nodes(
-            IidFaultModel::new(nodes, 0.05).sample_exact(&mut StdRng::seed_from_u64(1)),
-        );
+    for nodes in [512usize, 2048, 8192, 16_384] {
+        let (orch, faults) = faulty_cluster(nodes, 1);
         let request = OrchestrationRequest {
             job_nodes: nodes * 85 / 100 / 8 * 8,
             nodes_per_group: 8,
@@ -98,6 +106,18 @@ fn bench_orchestration(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
             b.iter(|| black_box(orch.orchestrate(&request, &faults).unwrap().len()))
+        });
+    }
+    group.finish();
+}
+
+fn bench_max_job(c: &mut Criterion) {
+    let mut group = c.benchmark_group("max_orchestratable_job");
+    group.sample_size(10);
+    for nodes in [4096usize, 16_384] {
+        let (orch, faults) = faulty_cluster(nodes, 5);
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
+            b.iter(|| black_box(max_orchestratable_job(&orch, 8, 2, &faults, 1).job_nodes))
         });
     }
     group.finish();
@@ -142,6 +162,7 @@ criterion_group!(
     benches,
     bench_dcn_free_kernel,
     bench_orchestration,
+    bench_max_job,
     bench_greedy_baseline,
     bench_cross_tor_accounting
 );

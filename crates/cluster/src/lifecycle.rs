@@ -24,9 +24,9 @@
 //! placement-latency percentiles, fragmentation over time and goodput.
 //! Placement latency is *modeled* (a deterministic function of groups placed,
 //! retries and failover commands), never wall-clock, so every derived table
-//! is bit-stable in the seed and invariant in the thread count — `threads`
-//! only fans out the constraint search, which returns identical placements
-//! for every value.
+//! is bit-stable in the seed and invariant in the thread count — the
+//! placement service answers every probe with its canonical single-threaded
+//! search, whatever `threads` says.
 
 use control::{FailoverPlanner, RingPlan};
 use dcn::jobmix::ExclusionLedger;
@@ -230,8 +230,9 @@ pub struct LifecycleConfig {
     pub latency: PlacementLatencyModel,
     /// Simulation horizon; events after it are not processed.
     pub horizon: Seconds,
-    /// Worker threads for the placement kernel's constraint search (results
-    /// are identical for every value).
+    /// Worker-thread budget of the run; must be positive. The placement
+    /// service answers every probe with its canonical single-threaded
+    /// search, so no value changes the work or the results.
     pub threads: usize,
     /// TP group size of the fragmentation probe (the "reference job" whose
     /// placeability defines usable capacity).
@@ -491,7 +492,7 @@ impl SimState<'_> {
             self.ledger.excluded(),
             "snapshot fell behind the ledger: a transition skipped sync_snapshot"
         );
-        self.service.place(request, self.config.threads)
+        self.service.place(request)
     }
 
     /// Closes the time integral segment `[last_t, t)`.

@@ -61,6 +61,41 @@ impl RunSink<NodeId> for GroupCutter {
     }
 }
 
+/// A [`RunSink`] that mirrors [`GroupCutter`] but only counts: the nodes of
+/// every complete group, with no group materialized — what a constraint-search
+/// probe needs to decide feasibility.
+pub(crate) struct GroupCounter {
+    nodes_per_group: usize,
+    current: usize,
+    /// Nodes in the completed groups so far.
+    pub(crate) placed: usize,
+}
+
+impl GroupCounter {
+    pub(crate) fn new(nodes_per_group: usize) -> Self {
+        assert!(nodes_per_group > 0, "TP groups need at least one node");
+        GroupCounter {
+            nodes_per_group,
+            current: 0,
+            placed: 0,
+        }
+    }
+}
+
+impl RunSink<NodeId> for GroupCounter {
+    fn healthy(&mut self, _node: NodeId) {
+        self.current += 1;
+        if self.current == self.nodes_per_group {
+            self.placed += self.nodes_per_group;
+            self.current = 0;
+        }
+    }
+
+    fn cut(&mut self) {
+        self.current = 0;
+    }
+}
+
 /// Runs Algorithm 2 over an explicit node ordering.
 ///
 /// * `order` — the nodes in HBD (deployment) order; adjacent elements are HBD

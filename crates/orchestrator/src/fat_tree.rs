@@ -19,13 +19,14 @@
 //! ordering ("first relaxes the TP Group alignment constraints ... then relaxes
 //! the TP Group crossing constraints").
 
-use crate::dcn_free::{orchestrate_dcn_free, GroupCutter};
+use crate::dcn_free::{orchestrate_dcn_free, GroupCounter, GroupCutter};
 use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
+use hbd_types::par::par_map;
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use topology::runscan::scan_khop_runs;
+use std::sync::{Arc, OnceLock};
+use topology::runscan::{scan_khop_runs, RunSink};
 use topology::{FatTree, FaultSet};
 
 /// What the job needs from the orchestrator.
@@ -66,8 +67,10 @@ pub struct FatTreeOrchestrator {
 
 /// Per-search scratch of one constraint search (one
 /// [`FatTreeOrchestrator::orchestrate_par`] call): everything the probe
-/// ladder would otherwise recompute per probe, built once and shared
-/// immutably across the probe-evaluation threads.
+/// ladder would otherwise recompute per probe, built once and shared across
+/// the probe-evaluation threads. It depends only on `(k, nodes_per_group,
+/// faults)`, never on the job size, so one scratch also serves every search
+/// of its key (the max-job ladder, a placement service epoch).
 #[derive(Debug)]
 pub(crate) struct SearchScratch {
     /// The deployment order (Algorithm 3). Layout-only (fault-independent),
@@ -92,6 +95,12 @@ pub(crate) struct SearchScratch {
     /// covering its aggregation domain, read out of this set with
     /// [`FaultSet::range_eq`] when a patch decides what to re-orchestrate.
     fingerprint: FaultSet,
+    /// `placed[n]` = nodes placed with the first `n` constraints applied —
+    /// the only thing a search probe asks of a placement. Filled lazily by
+    /// [`FatTreeOrchestrator::placed_nodes`], one slot per constraint count;
+    /// job-size-independent like the rest of the scratch, so every search
+    /// sharing the scratch reuses every count already taken.
+    placed: Vec<OnceLock<usize>>,
 }
 
 /// The two placements a sub-line segment can contribute, depending only on
@@ -100,6 +109,34 @@ pub(crate) struct SearchScratch {
 struct SegmentCache {
     raw: PlacementScheme,
     aligned: PlacementScheme,
+    /// `raw.nodes_placed()`, for the count-only probes.
+    raw_nodes: usize,
+    /// `aligned.nodes_placed()`, for the count-only probes.
+    aligned_nodes: usize,
+}
+
+impl SegmentCache {
+    fn new(raw: PlacementScheme, aligned: PlacementScheme) -> Self {
+        SegmentCache {
+            raw_nodes: raw.nodes_placed(),
+            aligned_nodes: aligned.nodes_placed(),
+            raw,
+            aligned,
+        }
+    }
+}
+
+/// The outcome of one [`FatTreeOrchestrator::multisection`] search.
+#[derive(Debug, Default)]
+pub(crate) struct Multisection {
+    /// The largest feasible value found, if any.
+    pub(crate) best: Option<usize>,
+    /// Ladder positions probed, summed over the rounds.
+    pub(crate) ladder: usize,
+    /// Feasibility checks actually run: `ladder` when the rounds are
+    /// evaluated eagerly, fewer when one thread stops each round at its
+    /// first feasible probe from the top.
+    pub(crate) evaluated: usize,
 }
 
 /// What one `FatTreeOrchestrator::patch_scratch` call re-derived versus
@@ -302,20 +339,10 @@ impl FatTreeOrchestrator {
             for node in &nodes {
                 owner[node.index()] = seg;
             }
-            segments.push(Arc::new(SegmentCache {
-                raw: orchestrate_dcn_free(
-                    &nodes,
-                    request.k,
-                    &effective[0],
-                    request.nodes_per_group,
-                ),
-                aligned: orchestrate_dcn_free(
-                    &nodes,
-                    request.k,
-                    fully_expanded,
-                    request.nodes_per_group,
-                ),
-            }));
+            segments.push(Arc::new(SegmentCache::new(
+                orchestrate_dcn_free(&nodes, request.k, &effective[0], request.nodes_per_group),
+                orchestrate_dcn_free(&nodes, request.k, fully_expanded, request.nodes_per_group),
+            )));
         }
 
         SearchScratch {
@@ -324,7 +351,14 @@ impl FatTreeOrchestrator {
             segments,
             effective,
             fingerprint: faults.clone(),
+            placed: self.empty_count_memo(),
         }
+    }
+
+    /// One empty `placed` slot per constraint count of the search range.
+    fn empty_count_memo(&self) -> Vec<OnceLock<usize>> {
+        let total = self.segment_constraints() + self.alignment_constraints();
+        (0..=total).map(|_| OnceLock::new()).collect()
     }
 
     /// Derives the scratch for `faults` from a scratch previously built (or
@@ -353,6 +387,10 @@ impl FatTreeOrchestrator {
     /// bits on the segment's own nodes: an unchanged fingerprint implies an
     /// identical placement, so cloning it is indistinguishable from
     /// recomputing it. Pinned field-for-field by the patch proptests below.
+    ///
+    /// The placed-node counts are *not* carried over: a count reads the
+    /// residual line across every domain, so the patched scratch starts with
+    /// an empty count memo.
     pub(crate) fn patch_scratch(
         &self,
         request: &OrchestrationRequest,
@@ -454,7 +492,7 @@ impl FatTreeOrchestrator {
             } else {
                 cache.aligned.clone()
             };
-            segments.push(Arc::new(SegmentCache { raw, aligned }));
+            segments.push(Arc::new(SegmentCache::new(raw, aligned)));
         }
 
         let scratch = SearchScratch {
@@ -463,6 +501,7 @@ impl FatTreeOrchestrator {
             segments,
             effective,
             fingerprint: faults.clone(),
+            placed: self.empty_count_memo(),
         };
         (scratch, stats)
     }
@@ -479,6 +518,60 @@ impl FatTreeOrchestrator {
         scratch: &SearchScratch,
         n_constraints: usize,
     ) -> PlacementScheme {
+        let mut scheme = PlacementScheme::new();
+        let mut cutter = GroupCutter::new(request.nodes_per_group);
+        self.walk_probe(
+            request,
+            scratch,
+            n_constraints,
+            |placed, _| scheme.groups.extend_from_slice(&placed.groups),
+            &mut cutter,
+        );
+        scheme.extend(cutter.scheme);
+        self.assign_dp_ranks(&mut scheme);
+        scheme
+    }
+
+    /// `placement_with_constraints_cached(request, scratch, n_constraints)
+    /// .nodes_placed()` without the placement: the constrained segments
+    /// contribute their memoized node counts and the residual scan only
+    /// counts complete groups, so nothing is allocated or sorted. Memoized
+    /// in the scratch — the first call per constraint count walks, every
+    /// later one (any job size, any thread) reads the slot.
+    pub(crate) fn placed_nodes(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        n_constraints: usize,
+    ) -> usize {
+        *scratch.placed[n_constraints].get_or_init(|| {
+            let mut segment_nodes = 0usize;
+            let mut counter = GroupCounter::new(request.nodes_per_group);
+            self.walk_probe(
+                request,
+                scratch,
+                n_constraints,
+                |_, nodes| segment_nodes += nodes,
+                &mut counter,
+            );
+            segment_nodes + counter.placed
+        })
+    }
+
+    /// The walk shared by the materializing and the counting probe with
+    /// `n_constraints` constraints: `segment` receives the memoized variant
+    /// (and its node count) of every constrained segment in segment order,
+    /// then the residual line — the deployment order minus the constrained
+    /// segments' nodes — is run-scanned into `sink` against the effective
+    /// fault set of the probe's aligned-domain count.
+    fn walk_probe<S: RunSink<NodeId>>(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        n_constraints: usize,
+        mut segment: impl FnMut(&PlacementScheme, usize),
+        sink: &mut S,
+    ) {
         let p = self.deployment.sublines();
         let n_segments = self.segment_constraints();
         let constrained = n_constraints.min(n_segments).min(scratch.segments.len());
@@ -487,17 +580,14 @@ impl FatTreeOrchestrator {
             .min(scratch.effective.len() - 1);
         let effective = &scratch.effective[aligned_domains];
 
-        let mut scheme = PlacementScheme::new();
         for (seg, cache) in scratch.segments.iter().enumerate().take(constrained) {
-            let placed = if seg / p < aligned_domains {
-                &cache.aligned
+            let (placed, nodes) = if seg / p < aligned_domains {
+                (&cache.aligned, cache.aligned_nodes)
             } else {
-                &cache.raw
+                (&cache.raw, cache.raw_nodes)
             };
-            scheme.groups.extend_from_slice(&placed.groups);
+            segment(placed, nodes);
         }
-
-        let mut cutter = GroupCutter::new(request.nodes_per_group);
         scan_khop_runs(
             scratch
                 .order
@@ -506,12 +596,8 @@ impl FatTreeOrchestrator {
                 .filter(|n| scratch.owner[n.index()] >= constrained),
             request.k,
             |n| effective.is_faulty(*n),
-            &mut cutter,
+            sink,
         );
-        scheme.extend(cutter.scheme);
-
-        self.assign_dp_ranks(&mut scheme);
-        scheme
     }
 
     /// `Orchestration-Fat-Tree` (Algorithms 1 and 5): search the number of
@@ -534,8 +620,8 @@ impl FatTreeOrchestrator {
     /// The paper's binary search probes one constraint count per round; this
     /// implementation is a *multisection* search that probes
     /// [`SEARCH_PROBES`](Self::SEARCH_PROBES) evenly spaced constraint counts
-    /// per round and fans the (independent, expensive) placement evaluations
-    /// out over up to `threads` scoped threads. The probe ladder is fixed —
+    /// per round and fans the independent probe evaluations out over up to
+    /// `threads` scoped threads. The probe ladder is fixed —
     /// `threads` only changes how the probes are *evaluated*, never which
     /// probes are chosen — so the resulting placement is identical for every
     /// thread count, and with one thread the probes are evaluated lazily from
@@ -556,7 +642,7 @@ impl FatTreeOrchestrator {
         // Everything probe-invariant is computed once: the deployment order,
         // the segment-ownership mask, the ToR-expanded fault set per
         // aligned-domain count, and both placement variants of every segment.
-        // Each probe then only assembles memoized segments and scans its
+        // Each probe then only sums memoized segment counts and scans its
         // residual line.
         let scratch = self.search_scratch(request, faults);
         self.orchestrate_with_scratch(request, &scratch, threads).0
@@ -565,82 +651,60 @@ impl FatTreeOrchestrator {
     /// The constraint search of [`orchestrate_par`](Self::orchestrate_par)
     /// against a prebuilt [`SearchScratch`], so callers answering many
     /// requests against one fault set (the placement service, the max-job
-    /// search) can amortize the scratch across searches. The scratch depends
-    /// only on `(k, nodes_per_group, faults)` — never on `job_nodes` — so one
-    /// scratch serves every job size of a `(k, nodes_per_group)` key.
+    /// search) can amortize the scratch — and its placed-node counts —
+    /// across searches. One scratch serves every job size of its
+    /// `(k, nodes_per_group)` key.
+    ///
+    /// Every probe is decided by a placed-node count
+    /// ([`constraint_search`](Self::constraint_search)); only the winning
+    /// constraint count is materialized into a placement, which is then
+    /// truncated to the job's group count.
     ///
     /// The caller must have validated `request` and built `scratch` for the
     /// same `k` / `nodes_per_group`. Returns the search outcome plus the
-    /// number of probe placements evaluated (the search's dominant cost; with
-    /// `threads == 1` the lazy evaluation makes this count exact, with more
-    /// threads every probe of a round is evaluated eagerly).
+    /// number of probes evaluated (with `threads == 1` the lazy evaluation
+    /// makes this count exact, with more threads every probe of a round is
+    /// evaluated eagerly).
     pub(crate) fn orchestrate_with_scratch(
         &self,
         request: &OrchestrationRequest,
         scratch: &SearchScratch,
         threads: usize,
     ) -> (Result<PlacementScheme>, usize) {
+        let (best, probes) = self.constraint_search(request, scratch, threads);
         let job_groups = request.job_nodes.div_ceil(request.nodes_per_group);
-        let needed_nodes = job_groups * request.nodes_per_group;
-        let feasible = |placement: &PlacementScheme| placement.nodes_placed() >= needed_nodes;
-        let mut evaluated = 0usize;
-
-        let mut low = 0usize;
-        let mut high = self.segment_constraints() + self.alignment_constraints();
-        let mut best: Option<PlacementScheme> = None;
-        while low <= high {
-            let probes = Self::probe_ladder(low, high);
-            // Find the most constrained feasible probe and the least
-            // constrained infeasible probe directly above it.
-            let hit = if threads > 1 {
-                evaluated += probes.len();
-                let placements = hbd_types::par::par_map(threads, &probes, |_, &n| {
-                    self.placement_with_constraints_cached(request, scratch, n)
-                });
-                probes
-                    .iter()
-                    .zip(placements)
-                    .rev()
-                    .find(|(_, placement)| feasible(placement))
-                    .map(|(&n, placement)| (n, placement))
-            } else {
-                probes.iter().rev().find_map(|&n| {
-                    evaluated += 1;
-                    let placement = self.placement_with_constraints_cached(request, scratch, n);
-                    feasible(&placement).then_some((n, placement))
-                })
-            };
-            match hit {
-                Some((n, placement)) => {
-                    // Everything above `n` up to the next probe is still open;
-                    // everything from the next probe on is ruled out.
-                    if let Some(&next) = probes.iter().find(|&&p| p > n) {
-                        high = next - 1;
-                    }
-                    best = Some(placement);
-                    low = n + 1;
-                }
-                None => {
-                    // The least constrained probe (== `low`) is infeasible.
-                    if low == 0 {
-                        break;
-                    }
-                    high = low - 1;
-                }
-            }
-        }
-
-        let outcome = best
-            .ok_or_else(|| {
-                HbdError::infeasible(format!(
-                    "job needs {needed_nodes} nodes but the cluster cannot provide them under the current fault pattern"
-                ))
-            })
-            .map(|mut placement| {
+        let outcome = match best {
+            Some(n) => {
+                let mut placement = self.placement_with_constraints_cached(request, scratch, n);
                 placement.truncate(job_groups);
-                placement
-            });
-        (outcome, evaluated)
+                Ok(placement)
+            }
+            None => Err(HbdError::infeasible(format!(
+                "job needs {} nodes but the cluster cannot provide them under the current fault pattern",
+                job_groups * request.nodes_per_group
+            ))),
+        };
+        (outcome, probes)
+    }
+
+    /// Algorithm 5's search alone: the most constrained feasible constraint
+    /// count (`None` when even the fully relaxed placement is too small) and
+    /// the number of probes evaluated. A probe is feasible when its memoized
+    /// placed-node count ([`placed_nodes`](Self::placed_nodes)) covers the
+    /// job's whole TP groups.
+    pub(crate) fn constraint_search(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        threads: usize,
+    ) -> (Option<usize>, usize) {
+        let needed_nodes =
+            request.job_nodes.div_ceil(request.nodes_per_group) * request.nodes_per_group;
+        let total = self.segment_constraints() + self.alignment_constraints();
+        let search = Self::multisection(0, total, threads, |n| {
+            self.placed_nodes(request, scratch, n) >= needed_nodes
+        });
+        (search.best, search.evaluated)
     }
 
     /// Probes per multisection round of the constraint / job-size searches.
@@ -661,6 +725,125 @@ impl FatTreeOrchestrator {
             .collect();
         probes.dedup();
         probes
+    }
+
+    /// The fixed-ladder multisection shared by the constraint search and the
+    /// job-size search: finds the largest `x` in `[low, high]` with
+    /// `feasible(x)`, assuming feasibility is (roughly) antitone. Each round
+    /// probes [`probe_ladder`](Self::probe_ladder); the largest feasible
+    /// probe `x` narrows the range to `(x, next probe)`, and a round with no
+    /// feasible probe ends the search. With `threads > 1` a round's probes
+    /// are evaluated eagerly over scoped threads, with one thread lazily from
+    /// the top; the ladder, and so the result, never depends on `threads`.
+    pub(crate) fn multisection<F>(
+        low: usize,
+        high: usize,
+        threads: usize,
+        feasible: F,
+    ) -> Multisection
+    where
+        F: Fn(usize) -> bool + Sync,
+    {
+        let (mut low, mut high) = (low, high);
+        let mut search = Multisection::default();
+        while low <= high {
+            let probes = Self::probe_ladder(low, high);
+            search.ladder += probes.len();
+            let hit = if threads > 1 {
+                search.evaluated += probes.len();
+                let verdicts = par_map(threads, &probes, |_, &x| feasible(x));
+                probes
+                    .iter()
+                    .zip(verdicts)
+                    .rev()
+                    .find_map(|(&x, ok)| ok.then_some(x))
+            } else {
+                probes.iter().rev().copied().find(|&x| {
+                    search.evaluated += 1;
+                    feasible(x)
+                })
+            };
+            // No feasible probe: the lowest one (== `low`) failed, so
+            // nothing is left open.
+            let Some(x) = hit else { break };
+            // Everything above `x` up to the next probe is still open;
+            // everything from the next probe on is ruled out.
+            if let Some(&next) = probes.iter().find(|&&p| p > x) {
+                high = next - 1;
+            }
+            search.best = Some(x);
+            low = x + 1;
+        }
+        search
+    }
+
+    /// The materializing constraint search: every probe builds its full
+    /// placement and decides feasibility from it. The oracle that
+    /// [`orchestrate_with_scratch`](Self::orchestrate_with_scratch) is pinned
+    /// to, outcome and probe count alike.
+    #[cfg(test)]
+    pub(crate) fn orchestrate_with_scratch_oracle(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        threads: usize,
+    ) -> (Result<PlacementScheme>, usize) {
+        let job_groups = request.job_nodes.div_ceil(request.nodes_per_group);
+        let needed_nodes = job_groups * request.nodes_per_group;
+        let feasible = |placement: &PlacementScheme| placement.nodes_placed() >= needed_nodes;
+        let mut evaluated = 0usize;
+
+        let mut low = 0usize;
+        let mut high = self.segment_constraints() + self.alignment_constraints();
+        let mut best: Option<PlacementScheme> = None;
+        while low <= high {
+            let probes = Self::probe_ladder(low, high);
+            let hit = if threads > 1 {
+                evaluated += probes.len();
+                let placements = par_map(threads, &probes, |_, &n| {
+                    self.placement_with_constraints_cached(request, scratch, n)
+                });
+                probes
+                    .iter()
+                    .zip(placements)
+                    .rev()
+                    .find(|(_, placement)| feasible(placement))
+                    .map(|(&n, placement)| (n, placement))
+            } else {
+                probes.iter().rev().find_map(|&n| {
+                    evaluated += 1;
+                    let placement = self.placement_with_constraints_cached(request, scratch, n);
+                    feasible(&placement).then_some((n, placement))
+                })
+            };
+            match hit {
+                Some((n, placement)) => {
+                    if let Some(&next) = probes.iter().find(|&&p| p > n) {
+                        high = next - 1;
+                    }
+                    best = Some(placement);
+                    low = n + 1;
+                }
+                None => {
+                    if low == 0 {
+                        break;
+                    }
+                    high = low - 1;
+                }
+            }
+        }
+
+        let outcome = best
+            .ok_or_else(|| {
+                HbdError::infeasible(format!(
+                    "job needs {needed_nodes} nodes but the cluster cannot provide them under the current fault pattern"
+                ))
+            })
+            .map(|mut placement| {
+                placement.truncate(job_groups);
+                placement
+            });
+        (outcome, evaluated)
     }
 
     /// Orders the groups for DP-rank assignment so that groups whose rank-0
@@ -701,8 +884,18 @@ mod tests {
         for (seg, (p, c)) in patched.segments.iter().zip(&cold.segments).enumerate() {
             assert_eq!(p.raw, c.raw, "segment {seg} raw placement");
             assert_eq!(p.aligned, c.aligned, "segment {seg} aligned placement");
+            assert_eq!(p.raw_nodes, c.raw_nodes, "segment {seg} raw count");
+            assert_eq!(
+                p.aligned_nodes, c.aligned_nodes,
+                "segment {seg} aligned count"
+            );
         }
         cold
+    }
+
+    /// Every constraint count of the search range, `0..=total`.
+    fn constraint_counts(orch: &FatTreeOrchestrator) -> std::ops::RangeInclusive<usize> {
+        0..=orch.segment_constraints() + orch.alignment_constraints()
     }
 
     fn orchestrator() -> FatTreeOrchestrator {
@@ -930,6 +1123,138 @@ mod tests {
         assert_eq!(stats.domains_patched, 0);
         assert_eq!(stats.segments_reorchestrated, 0);
         assert_matches_cold_rebuild(&orch, &req, &patched, &moved);
+    }
+
+    #[test]
+    fn multisection_finds_the_largest_feasible_value_for_any_thread_count() {
+        for threshold in [0usize, 1, 17, 68, 69] {
+            let seq = FatTreeOrchestrator::multisection(0, 68, 1, |x| x < threshold);
+            let par = FatTreeOrchestrator::multisection(0, 68, 4, |x| x < threshold);
+            assert_eq!(seq.best, threshold.checked_sub(1), "threshold {threshold}");
+            assert_eq!(seq.best, par.best);
+            assert_eq!(seq.ladder, par.ladder);
+            assert_eq!(par.evaluated, par.ladder);
+            assert!(seq.evaluated <= seq.ladder);
+        }
+        let empty = FatTreeOrchestrator::multisection(1, 0, 1, |_| true);
+        assert_eq!((empty.best, empty.ladder, empty.evaluated), (None, 0, 0));
+    }
+
+    #[test]
+    fn counts_are_memoized_in_the_scratch() {
+        let orch = orchestrator();
+        let faults = FaultSet::from_nodes((0..30).map(|i| NodeId(i * 13)));
+        let req = request(360);
+        let scratch = orch.search_scratch(&req, &faults);
+        assert!(scratch.placed.iter().all(|slot| slot.get().is_none()));
+        let (best, _) = orch.constraint_search(&req, &scratch, 1);
+        let filled = scratch
+            .placed
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count();
+        assert!(filled > 0 && best.is_some());
+        // A second search of another job size on the same scratch only adds
+        // the counts the first one never took.
+        orch.constraint_search(&request(64), &scratch, 1);
+        for n in constraint_counts(&orch) {
+            if let Some(&count) = scratch.placed[n].get() {
+                let placed = orch.placement_with_constraints_cached(&req, &scratch, n);
+                assert_eq!(count, placed.nodes_placed(), "constraint count {n}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The count-only probe is the materializing probe's node count, for
+        /// every constraint count, K and group size — including fault ids
+        /// past the last aggregation domain.
+        #[test]
+        fn memoized_counts_match_materialized_placements(
+            fault_ids in proptest::collection::vec(0usize..600, 0..80),
+            k in 1usize..=3,
+            m_pick in 0usize..3,
+        ) {
+            let orch = orchestrator();
+            let req = OrchestrationRequest {
+                job_nodes: 1,
+                nodes_per_group: [4usize, 8, 16][m_pick],
+                k,
+            };
+            let faults = FaultSet::from_nodes(fault_ids.into_iter().map(NodeId));
+            let scratch = orch.search_scratch(&req, &faults);
+            for n in constraint_counts(&orch) {
+                let oracle = orch.placement_with_constraints(&req, &faults, n).nodes_placed();
+                prop_assert_eq!(orch.placed_nodes(&req, &scratch, n), oracle, "n {}", n);
+                // A memo hit reads back the same count.
+                prop_assert_eq!(orch.placed_nodes(&req, &scratch, n), oracle, "n {}", n);
+            }
+        }
+
+        /// Deciding probes by counts changes nothing: outcome and probe
+        /// count match the materializing search, for 1 and 4 threads, on one
+        /// shared scratch across job sizes.
+        #[test]
+        fn count_search_matches_the_materializing_oracle(
+            fault_ids in proptest::collection::vec(0usize..600, 0..80),
+            k in 1usize..=3,
+            m_pick in 0usize..3,
+            job_sizes in proptest::collection::vec(1usize..560, 1..6),
+        ) {
+            let orch = orchestrator();
+            let nodes_per_group = [4usize, 8, 16][m_pick];
+            let faults = FaultSet::from_nodes(fault_ids.into_iter().map(NodeId));
+            let template = OrchestrationRequest { job_nodes: 1, nodes_per_group, k };
+            let shared = orch.search_scratch(&template, &faults);
+            let oracle_scratch = orch.search_scratch(&template, &faults);
+            for job_nodes in job_sizes {
+                let req = OrchestrationRequest { job_nodes, nodes_per_group, k };
+                for threads in [1usize, 4] {
+                    let (fast, fast_probes) = orch.orchestrate_with_scratch(&req, &shared, threads);
+                    let (slow, slow_probes) =
+                        orch.orchestrate_with_scratch_oracle(&req, &oracle_scratch, threads);
+                    prop_assert_eq!(fast, slow, "job {} threads {}", job_nodes, threads);
+                    prop_assert_eq!(fast_probes, slow_probes, "job {} threads {}", job_nodes, threads);
+                }
+            }
+        }
+
+        /// A patched scratch starts with an empty count memo: after a delta,
+        /// every count it reads equals the cold rebuild's, even when the old
+        /// scratch had every count memoized.
+        #[test]
+        fn patched_counts_match_cold_rebuild_counts(
+            initial in proptest::collection::vec(0usize..600, 0..40),
+            delta in proptest::collection::vec((0usize..600, 0usize..2), 1..16),
+            k in 1usize..=3,
+        ) {
+            let orch = orchestrator();
+            let req = OrchestrationRequest { job_nodes: 1, nodes_per_group: 8, k };
+            let mut live = FaultSet::from_nodes(initial.into_iter().map(NodeId));
+            let old = orch.search_scratch(&req, &live);
+            for n in constraint_counts(&orch) {
+                orch.placed_nodes(&req, &old, n);
+            }
+            for (id, flag) in delta {
+                if flag == 1 {
+                    live.add(NodeId(id));
+                } else {
+                    live.remove(NodeId(id));
+                }
+            }
+            let (patched, _) = orch.patch_scratch(&req, &old, &live);
+            prop_assert!(patched.placed.iter().all(|slot| slot.get().is_none()));
+            let cold = orch.search_scratch(&req, &live);
+            for n in constraint_counts(&orch) {
+                prop_assert_eq!(
+                    orch.placed_nodes(&req, &patched, n),
+                    orch.placed_nodes(&req, &cold, n),
+                    "n {}", n
+                );
+            }
+        }
     }
 
     proptest! {

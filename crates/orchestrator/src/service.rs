@@ -13,8 +13,9 @@
 //!   fault state as a new epoch, readers pin whatever epoch is current and
 //!   never block each other (see `hbd_types::epoch` for the protocol);
 //! * [`PlacementService`] — answers batches of [`PlacementQuery`]s against
-//!   the current snapshot, amortising one memoized `SearchScratch` per
-//!   distinct `(k, nodes_per_group)` key over the whole batch and fanning the
+//!   the current snapshot, amortising one memoized `SearchScratch` (and the
+//!   placed-node counts its searches memoize in it) per distinct
+//!   `(k, nodes_per_group)` key over the whole batch and fanning the
 //!   per-query searches out with [`hbd_types::par`].
 //!
 //! # Determinism
@@ -295,13 +296,23 @@ pub struct BatchReport {
 /// changes how the real computation fans out, while the modeled numbers
 /// depend only on the (thread-invariant) cost counters, so every priced
 /// latency is bit-stable in the seed and invariant in the thread count.
+///
+/// The per-node constants of [`for_cluster`](Self::for_cluster) are
+/// **uncalibrated assumptions**, not fits to measured times. The `probes`
+/// they multiply count *ladder positions*, not placements materialized: a
+/// search probe reads a placed-node count memoized in the scratch (computed
+/// at most once per constraint count across every search sharing it), and
+/// a search materializes one placement, for its winning count. The
+/// per-probe terms therefore price work a probe mostly does not do;
+/// recalibrating them is a change of its own, because every modeled table
+/// moves with the constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeledLatency {
     /// Flat modeled dispatch overhead per query, in microseconds.
     pub query_overhead_us: f64,
-    /// Modeled cost of one constraint-placement probe (`Place` / `WhatIf`).
+    /// Modeled cost of one constraint-search probe (`Place` / `WhatIf`).
     pub probe_us: f64,
-    /// Modeled cost of one max-job feasibility search.
+    /// Modeled cost of one max-job ladder position (one constraint search).
     pub search_us: f64,
     /// Modeled cost of one scratch build (shared or private).
     pub build_us: f64,
@@ -313,7 +324,9 @@ impl ModeledLatency {
     /// The workspace-standard pricing for an `nodes`-node snapshot: 5 µs
     /// per-query overhead, probe/search/build terms linear in cluster size,
     /// eight modeled lanes — exactly the constants the
-    /// `ext_service_throughput` experiment has always used.
+    /// `ext_service_throughput` experiment has always used. Assumed, not
+    /// measured: at 16,384 nodes `build_us` predicts 1.3 ms for a cold
+    /// scratch build that `publish_bench` has measured at 5–7 ms.
     pub fn for_cluster(nodes: usize) -> Self {
         ModeledLatency {
             query_overhead_us: 5.0,
@@ -511,10 +524,8 @@ impl PlacementService {
     /// deterministic function of `(shape, epoch state)`, so the replay is
     /// exact). A memo miss evaluates its probes lazily (inner search
     /// threading of 1) so the memoized probe count stays canonical for every
-    /// caller; `threads` is accepted for signature stability and does not
-    /// change the answer.
-    pub fn place(&self, request: &OrchestrationRequest, threads: usize) -> Result<PlacementScheme> {
-        let _ = threads;
+    /// caller.
+    pub fn place(&self, request: &OrchestrationRequest) -> Result<PlacementScheme> {
         request.validate()?;
         let snapshot = self.store.load();
         let memo_key = (request.k, request.nodes_per_group, request.job_nodes);
@@ -857,7 +868,7 @@ mod tests {
         for job_nodes in [64usize, 256, 480, 1000] {
             let req = request(job_nodes);
             assert_eq!(
-                service.place(&req, 1),
+                service.place(&req),
                 orch.orchestrate_par(&req, &faults, 1),
                 "job_nodes {job_nodes}"
             );

@@ -17,6 +17,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench build + tests (its own workspace)"
+# perfbench/ is a separate Cargo workspace, so the root build and tests above
+# never compile it; an API change in the crates it drives would otherwise
+# break the benchmark unnoticed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo check --examples --benches"
 cargo check --examples --benches
 

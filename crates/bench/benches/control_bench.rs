@@ -2,8 +2,11 @@
 //! end-to-end fault handling must stay cheap enough to run inside the 60–80 µs
 //! hardware switching window's software budget at datacenter scale.
 
+use bench::experiments::sim_seeds;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use infinitehbd::control::{ClusterManager, ControlLatencies, FailoverPlanner};
+use infinitehbd::control::{
+    sim, ClusterManager, ControlLatencies, FailoverPlanner, MessageFaults, SimConfig,
+};
 use infinitehbd::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,7 +14,7 @@ use rand::SeedableRng;
 fn bench_failover_planning(c: &mut Criterion) {
     let mut group = c.benchmark_group("failover_plan");
     group.sample_size(20);
-    for nodes in [512usize, 2048, 8192] {
+    for nodes in [256usize, 512, 2048, 8192] {
         let ring = KHopRing::new(nodes, 4, 3).unwrap();
         let planner = FailoverPlanner::new(ring).unwrap();
         let faults = FaultSet::from_nodes(
@@ -40,6 +43,25 @@ fn bench_plan_diff(c: &mut Criterion) {
     });
 }
 
+/// One whole `control::sim` schedule on the `sim_seeds` deployment, at the
+/// sweep's 48 nodes and at the `control_sim` workload's 256, on the
+/// adversarial channel.
+fn bench_control_sim_run(c: &mut Criterion) {
+    let mut group = c.benchmark_group("control_sim_run");
+    group.sample_size(10);
+    for nodes in [48usize, 256] {
+        let config = SimConfig {
+            nodes,
+            message_faults: MessageFaults::adversarial(),
+            ..sim_seeds::base_config()
+        };
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
+            b.iter(|| black_box(sim::run(&config, 7).unwrap().sends))
+        });
+    }
+    group.finish();
+}
+
 fn bench_fault_injection(c: &mut Criterion) {
     c.bench_function("cluster_manager_fault_repair_cycle_720_nodes", |b| {
         let ring = KHopRing::new(720, 4, 2).unwrap();
@@ -59,6 +81,7 @@ criterion_group!(
     benches,
     bench_failover_planning,
     bench_plan_diff,
+    bench_control_sim_run,
     bench_fault_injection
 );
 criterion_main!(benches);

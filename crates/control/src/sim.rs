@@ -313,6 +313,7 @@ pub fn run_with_events(
         clock: SimClock::new(),
         timeline: Timeline::new(),
         pending: BTreeMap::new(),
+        issued_to: vec![Vec::new(); config.nodes],
         latest_cmd: BTreeMap::new(),
         node_epoch: vec![0; config.nodes],
         rebooted_dirty: BTreeSet::new(),
@@ -373,6 +374,10 @@ struct Sim {
     clock: SimClock,
     timeline: Timeline,
     pending: BTreeMap<u64, PendingCommand>,
+    /// Per node, the ids issued to it since its last detected fault: the
+    /// only commands a new fault can cancel (earlier ones were cancelled by
+    /// that fault already).
+    issued_to: Vec<Vec<u64>>,
     /// Newest command id issued per (node, bundle), for supersede tracking.
     latest_cmd: BTreeMap<(NodeId, usize), u64>,
     /// Per-node incarnation counter, bumped on every detected repair.
@@ -399,14 +404,13 @@ impl Sim {
     /// faulty channel is armed, so it bypasses the message-fault model.
     fn bootstrap(&mut self) -> Result<()> {
         let plan = self.planner.plan(&self.faults)?;
-        let directives = plan.directives();
         self.timeline.push(
             Seconds::ZERO,
             ControlEventKind::PlanComputed {
-                commands: directives.len(),
+                commands: plan.iter().count(),
             },
         );
-        for d in directives {
+        for d in plan.iter() {
             self.fabrics[d.node.index()].apply(d.bundle, d.action)?;
         }
         let segments = self.planner.segments(&self.faults).len();
@@ -446,8 +450,9 @@ impl Sim {
             // targeting it is cancelled. Copies already in the channel are
             // discarded on delivery (the node is down, and after a repair
             // the incarnation gate rejects them).
-            for p in self.pending.values_mut() {
-                if p.node == node && !p.acked && !p.superseded {
+            for id in std::mem::take(&mut self.issued_to[node.index()]) {
+                let p = self.pending.get_mut(&id).expect("issued ids stay pending");
+                if !p.acked && !p.superseded {
                     p.superseded = true;
                     self.unacked -= 1;
                     self.report.cancelled += 1;
@@ -533,6 +538,7 @@ impl Sim {
                 }
             }
             self.latest_cmd.insert((cmd.node, cmd.bundle), id);
+            self.issued_to[cmd.node.index()].push(id);
             self.pending.insert(
                 id,
                 PendingCommand {
@@ -720,7 +726,7 @@ impl Sim {
     }
 
     fn fabric_matches(&self, plan: &RingPlan) -> bool {
-        plan.directives().iter().all(|d| {
+        plan.iter().all(|d| {
             if self.faults.is_faulty(d.node) {
                 // Known-dead node whose removal is still in the planning
                 // window: its hardware is unreachable, its commands were

@@ -128,21 +128,26 @@ impl Wiring {
         }
     }
 
-    /// The port whose fiber spans the given signed offset, if any.
+    /// The port whose fiber spans the given signed offset, if any: the
+    /// closed-form inverse of [`Wiring::port_offset`].
     pub fn port_for_offset(&self, offset: isize) -> Option<FabricPort> {
         let d = offset.unsigned_abs();
         if d == 0 || d > self.k {
             return None;
         }
-        for bundle in 0..self.k {
-            for path in [PathId::External1, PathId::External2] {
-                let port = FabricPort { bundle, path };
-                if self.port_offset(port) == Some(offset) {
-                    return Some(port);
-                }
-            }
+        let port = |bundle, path| Some(FabricPort { bundle, path });
+        match (offset > 0, d % 2 == 1) {
+            // Forward: odd distances ride Path 1 of bundle d−1, even ones
+            // Path 2 of bundle d−2 (both even, i.e. forward, bundles).
+            (true, true) => port(d - 1, PathId::External1),
+            (true, false) => port(d - 2, PathId::External2),
+            // Backward: even distances ride Path 2 of bundle d−1 ...
+            (false, false) => port(d - 1, PathId::External2),
+            // ... odd ones Path 1 of bundle d, except −K of an odd-K wiring,
+            // which turns around on Path 2 of the shared last bundle.
+            (false, true) if d < self.k => port(d, PathId::External1),
+            (false, true) => port(d - 1, PathId::External2),
         }
-        None
     }
 
     /// The node reached by the given port of `node`, or `None` if the fiber
@@ -165,19 +170,29 @@ impl Wiring {
 
     /// The port of `from` whose fiber lands on `to`, or `None` if the two
     /// nodes are further apart than `K` hops.
+    ///
+    /// Closed form from the signed offset. On a closed ring of `n` nodes the
+    /// offsets `d` and `d − n` land on `to` (`d = (to − from) mod n`). A
+    /// valid ring (`n ≥ 2K + 1`) has at most one of them within reach; should
+    /// both be (a deserialised ring below that size), the first port in
+    /// (bundle, path) order wins, as a scan over all `2K` ports would pick.
+    /// Farther congruent offsets only reach later ports.
     pub fn port_towards(&self, from: NodeId, to: NodeId) -> Option<FabricPort> {
         if from.index() >= self.nodes || to.index() >= self.nodes || from == to {
             return None;
         }
-        for bundle in 0..self.k {
-            for path in [PathId::External1, PathId::External2] {
-                let port = FabricPort { bundle, path };
-                if self.neighbour(from, port) == Some(to) {
-                    return Some(port);
-                }
-            }
+        let offset = to.index() as isize - from.index() as isize;
+        if !self.closed {
+            return self.port_for_offset(offset);
         }
-        None
+        let n = self.nodes as isize;
+        let d = if offset < 0 { offset + n } else { offset };
+        match (self.port_for_offset(d), self.port_for_offset(d - n)) {
+            (Some(a), Some(b)) => Some(std::cmp::min_by_key(a, b, |p| {
+                (p.bundle, p.path == PathId::External2)
+            })),
+            (a, b) => a.or(b),
+        }
     }
 
     /// All ports of a node together with the neighbour they reach (ports whose
@@ -196,9 +211,68 @@ impl Wiring {
     }
 }
 
+/// The 2K-port scan that [`Wiring::port_towards`] replaced, kept as its
+/// oracle: the first port in (bundle, path) order whose fiber lands on `to`.
+#[cfg(test)]
+impl Wiring {
+    pub(crate) fn port_towards_by_search(&self, from: NodeId, to: NodeId) -> Option<FabricPort> {
+        if from.index() >= self.nodes || to.index() >= self.nodes || from == to {
+            return None;
+        }
+        for bundle in 0..self.k {
+            for path in [PathId::External1, PathId::External2] {
+                let port = FabricPort { bundle, path };
+                if self.neighbour(from, port) == Some(to) {
+                    return Some(port);
+                }
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every (from, to) pair of `wiring`, one id past the end included.
+    fn assert_port_towards_matches_the_scan(wiring: &Wiring) {
+        for from in 0..=wiring.nodes() {
+            for to in 0..=wiring.nodes() {
+                let (from, to) = (NodeId(from), NodeId(to));
+                assert_eq!(
+                    wiring.port_towards(from, to),
+                    wiring.port_towards_by_search(from, to),
+                    "{wiring:?} {from} -> {to}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_port_towards_matches_the_scan_on_every_pair() {
+        for k in 2..=6usize {
+            for nodes in 2 * k + 1..=4 * k + 3 {
+                for closed in [false, true] {
+                    assert_port_towards_matches_the_scan(&Wiring::new(nodes, k, closed).unwrap());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn undersized_deserialised_rings_keep_the_scan_tie_break() {
+        // `Wiring::new` refuses closed rings below 2K + 1 nodes, but a
+        // deserialised wiring is not validated: there `d` and `d − n` can both
+        // be in reach, and the scan's first port must still win.
+        for k in 2..=6usize {
+            for nodes in 1..=2 * k {
+                let json = format!(r#"{{"closed":true,"k":{k},"nodes":{nodes}}}"#);
+                let wiring: Wiring = serde_json::from_str(&json).unwrap();
+                assert_port_towards_matches_the_scan(&wiring);
+            }
+        }
+    }
 
     #[test]
     fn construction_validates_parameters() {

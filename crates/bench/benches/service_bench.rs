@@ -2,13 +2,15 @@
 //! `answer_batch` (one memoized scratch per `(k, nodes_per_group)` key,
 //! amortised over the batch) against the unbatched oracle loop that rebuilds
 //! its scratch per query (`orchestrate_par` per query, the path every answer
-//! is pinned bit-identical to), plus the raw snapshot-store swap/load costs.
+//! is pinned bit-identical to), one what-if query on a warm epoch (a private
+//! scratch patched from the shared one, then a constraint search), plus the
+//! raw snapshot-store swap/load costs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use infinitehbd::orchestrator::service::{PlacementQuery, PlacementService, SnapshotStore};
 use infinitehbd::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const NODES: usize = 2048;
@@ -72,6 +74,41 @@ fn bench_placement_service(c: &mut Criterion) {
     group.finish();
 }
 
+/// One what-if on a warm epoch: each batch is `[Place(r), WhatIf { r, extra }]`
+/// where the `Place` replays the epoch's memoized answer, so the time is the
+/// what-if's scratch patch, constraint search and placement. Cluster sizes
+/// and fault density follow `publish_bench` (16 nodes/ToR, 8 ToRs/domain,
+/// 2 % faults); `extra` is eight random nodes, the mix's widest what-if.
+fn bench_what_if(c: &mut Criterion) {
+    let mut group = c.benchmark_group("service_what_if");
+    group.sample_size(20);
+    for &nodes in &[4096usize, 16384] {
+        let orch = Arc::new(FatTreeOrchestrator::new(FatTree::new(nodes, 16, 8).unwrap()).unwrap());
+        let mut rng = StdRng::seed_from_u64(33);
+        let faults = FaultSet::from_nodes(IidFaultModel::new(nodes, 0.02).sample_exact(&mut rng));
+        let store = Arc::new(SnapshotStore::new(orch, faults));
+        let request = OrchestrationRequest {
+            job_nodes: nodes / 2,
+            nodes_per_group: 8,
+            k: 2,
+        };
+        let extra_faults = FaultSet::from_nodes((0..8).map(|_| NodeId(rng.gen_range(0..nodes))));
+        let batch = [
+            PlacementQuery::Place(request),
+            PlacementQuery::WhatIf {
+                request,
+                extra_faults,
+            },
+        ];
+        let service = PlacementService::new(Arc::clone(&store));
+        let _ = service.answer_batch(&batch[..1], 1);
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
+            b.iter(|| black_box(service.answer_batch(&batch, 1).answers.len()))
+        });
+    }
+    group.finish();
+}
+
 /// The raw store costs: pinning the current snapshot and publishing a new
 /// epoch (full fault-set clone included, as a publisher would pay it).
 fn bench_snapshot_store(c: &mut Criterion) {
@@ -85,5 +122,10 @@ fn bench_snapshot_store(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_placement_service, bench_snapshot_store);
+criterion_group!(
+    benches,
+    bench_placement_service,
+    bench_what_if,
+    bench_snapshot_store
+);
 criterion_main!(benches);

@@ -49,7 +49,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             stream_seed(ctx.seed, 0),
         )
         .expect("workload");
-        let mut config = base_config(ctx, horizon);
+        let mut config = base_config(horizon);
         config.backfill = true;
         let outcome = simulate(&orchestrator, &workload, &[], &config).expect("simulation");
         rows.push(vec![

@@ -63,7 +63,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         } else {
             Vec::new()
         };
-        let mut config = base_config(ctx, horizon);
+        let mut config = base_config(horizon);
         config.backfill = true;
         config.defrag_on_exit = true;
         let outcome = simulate(&orchestrator, &workload, &faults, &config).expect("simulation");

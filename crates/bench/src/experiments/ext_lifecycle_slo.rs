@@ -65,7 +65,7 @@ pub fn templates() -> Vec<JobTemplate> {
 }
 
 /// The shared lifecycle configuration (policy flags set per row).
-pub fn base_config(ctx: &RunCtx, horizon: Seconds) -> LifecycleConfig {
+pub fn base_config(horizon: Seconds) -> LifecycleConfig {
     LifecycleConfig {
         nodes: NODES,
         gpus_per_node: 8,
@@ -73,7 +73,6 @@ pub fn base_config(ctx: &RunCtx, horizon: Seconds) -> LifecycleConfig {
         defrag_on_exit: false,
         latency: PlacementLatencyModel::default(),
         horizon,
-        threads: ctx.threads,
         frag_probe_group: 8,
         frag_probe_k: 2,
         retry_backoff: None,
@@ -115,7 +114,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     let mut slo_rows = Vec::new();
     let mut churn_rows = Vec::new();
     for (name, backfill, defrag) in policies {
-        let mut config = base_config(ctx, horizon);
+        let mut config = base_config(horizon);
         config.backfill = backfill;
         config.defrag_on_exit = defrag;
         let outcome = simulate(&orchestrator, &workload, &faults, &config).expect("simulation");

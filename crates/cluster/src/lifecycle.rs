@@ -26,7 +26,7 @@
 //! retries and failover commands), never wall-clock, so every derived table
 //! is bit-stable in the seed and invariant in the thread count — the
 //! placement service answers every probe with its canonical single-threaded
-//! search, whatever `threads` says.
+//! search.
 
 use control::{FailoverPlanner, RingPlan};
 use dcn::jobmix::ExclusionLedger;
@@ -230,10 +230,6 @@ pub struct LifecycleConfig {
     pub latency: PlacementLatencyModel,
     /// Simulation horizon; events after it are not processed.
     pub horizon: Seconds,
-    /// Worker-thread budget of the run; must be positive. The placement
-    /// service answers every probe with its canonical single-threaded
-    /// search, so no value changes the work or the results.
-    pub threads: usize,
     /// TP group size of the fragmentation probe (the "reference job" whose
     /// placeability defines usable capacity).
     pub frag_probe_group: usize,
@@ -724,8 +720,7 @@ fn node_set(scheme: &PlacementScheme) -> BTreeSet<NodeId> {
 /// Runs the lifecycle simulation: `workload` arrivals and `fault_events`
 /// (from [`fault::sim_events`]) against one shared Fat-Tree cluster.
 ///
-/// Deterministic in `(orchestrator, workload, fault_events, config)` and
-/// invariant in `config.threads`.
+/// Deterministic in `(orchestrator, workload, fault_events, config)`.
 pub fn simulate(
     orchestrator: &FatTreeOrchestrator,
     workload: &Workload,
@@ -742,9 +737,9 @@ pub fn simulate(
     if not_positive(config.horizon.value()) {
         return Err(HbdError::invalid_config("horizon must be positive"));
     }
-    if config.threads == 0 || config.frag_probe_group == 0 || config.frag_probe_k == 0 {
+    if config.frag_probe_group == 0 || config.frag_probe_k == 0 {
         return Err(HbdError::invalid_config(
-            "threads, frag_probe_group and frag_probe_k must be positive",
+            "frag_probe_group and frag_probe_k must be positive",
         ));
     }
     let horizon = config.horizon.value();
@@ -954,7 +949,6 @@ mod tests {
             defrag_on_exit: false,
             latency: PlacementLatencyModel::default(),
             horizon: Seconds(10_000.0),
-            threads: 1,
             frag_probe_group: 4,
             frag_probe_k: 2,
             retry_backoff: None,
@@ -1307,15 +1301,9 @@ mod tests {
         cfg.defrag_on_exit = true;
         let one = simulate(&orch, &workload, &events, &cfg).unwrap();
         let again = simulate(&orch, &workload, &events, &cfg).unwrap();
-        let mut cfg4 = cfg.clone();
-        cfg4.threads = 4;
-        let four = simulate(&orch, &workload, &events, &cfg4).unwrap();
+        // The run takes no thread budget; the lifecycle experiments' thread
+        // invariance is pinned end to end by `tests/integration_determinism.rs`.
         assert_eq!(one, again, "same inputs must reproduce bit-for-bit");
-        assert_eq!(
-            serde_json::to_string(&one).unwrap(),
-            serde_json::to_string(&four).unwrap(),
-            "thread count must not change the outcome"
-        );
         assert_eq!(outcome_invariants(&one), Ok(()));
         assert_eq!(one.clock_rewinds, 0);
     }

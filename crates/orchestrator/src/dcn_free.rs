@@ -64,6 +64,7 @@ impl RunSink<NodeId> for GroupCutter {
 /// A [`RunSink`] that mirrors [`GroupCutter`] but only counts: the nodes of
 /// every complete group, with no group materialized — what a constraint-search
 /// probe needs to decide feasibility.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct GroupCounter {
     nodes_per_group: usize,
     current: usize,
@@ -80,19 +81,170 @@ impl GroupCounter {
             placed: 0,
         }
     }
+
+    /// `healthy` consecutive healthy nodes at once.
+    fn extend_run(&mut self, healthy: usize) {
+        let open = self.current + healthy;
+        self.placed += open / self.nodes_per_group * self.nodes_per_group;
+        self.current = open % self.nodes_per_group;
+    }
 }
 
 impl RunSink<NodeId> for GroupCounter {
     fn healthy(&mut self, _node: NodeId) {
-        self.current += 1;
-        if self.current == self.nodes_per_group {
-            self.placed += self.nodes_per_group;
-            self.current = 0;
-        }
+        self.extend_run(1);
     }
 
     fn cut(&mut self) {
         self.current = 0;
+    }
+}
+
+/// One stretch of the K-hop line as a [`GroupCounter`] scan sees it when the
+/// state the scan enters it with — the faulty gap before it and the open
+/// partial group — is not known yet. Everything up to the first cut inside
+/// the stretch depends on that state; everything after it does not.
+///
+/// The shape is closed under [`then`](Self::then), so the summary of a long
+/// stretch composes from the summaries of its pieces (a sub-line's suffix
+/// from its segments), and [`apply`](Self::apply) continues a scan over the
+/// whole stretch in O(1). Fields not meaningful for a stretch (everything
+/// after `healthy` when it has no healthy node, the after-cut state when no
+/// cut follows) are zero, so equal stretches have equal summaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RunSummary {
+    k: usize,
+    /// Faulty nodes before the first healthy one (all of them when the
+    /// stretch has no healthy node).
+    lead: usize,
+    /// Whether the stretch has any healthy node.
+    healthy: bool,
+    /// Healthy nodes of the first run: from the first healthy node to the
+    /// first cut inside the stretch, or to its end.
+    first: usize,
+    /// Whether a cut follows the first run inside the stretch.
+    cut: bool,
+    /// The counter from that cut to the end of the stretch: the nodes it
+    /// placed and the partial group left open.
+    after: GroupCounter,
+    /// Faulty nodes after the last healthy one (all of them when the stretch
+    /// has no healthy node).
+    trail: usize,
+}
+
+impl RunSummary {
+    /// The summary of an empty stretch: the identity of [`then`](Self::then).
+    pub(crate) fn empty(k: usize, nodes_per_group: usize) -> Self {
+        assert!(k > 0, "K must be at least 1");
+        RunSummary {
+            k,
+            lead: 0,
+            healthy: false,
+            first: 0,
+            cut: false,
+            after: GroupCounter::new(nodes_per_group),
+            trail: 0,
+        }
+    }
+
+    /// Summarizes `nodes`, a stretch of the line in HBD order, by one scan.
+    pub(crate) fn of(
+        nodes: impl IntoIterator<Item = NodeId>,
+        k: usize,
+        nodes_per_group: usize,
+        faulty: impl Fn(NodeId) -> bool,
+    ) -> Self {
+        let mut summary = Self::empty(k, nodes_per_group);
+        for node in nodes {
+            if faulty(node) {
+                summary.trail += 1;
+                if !summary.healthy {
+                    summary.lead += 1;
+                } else if summary.trail == k {
+                    // The first cut ends the first run; later ones drop the
+                    // open partial group.
+                    summary.cut = true;
+                    summary.after.cut();
+                }
+            } else {
+                summary.trail = 0;
+                summary.healthy = true;
+                if summary.cut {
+                    summary.after.healthy(node);
+                } else {
+                    summary.first += 1;
+                }
+            }
+        }
+        summary
+    }
+
+    /// The summary of this stretch followed by `next`.
+    pub(crate) fn then(&self, next: &RunSummary) -> RunSummary {
+        debug_assert_eq!(
+            (self.k, self.after.nodes_per_group),
+            (next.k, next.after.nodes_per_group)
+        );
+        if !self.healthy {
+            // All faulty: `next` just starts later.
+            let trail = if next.healthy {
+                next.trail
+            } else {
+                self.trail + next.trail
+            };
+            return RunSummary {
+                lead: self.lead + next.lead,
+                trail,
+                ..*next
+            };
+        }
+        if self.cut || self.trail + next.lead >= self.k {
+            // The first run is over by the end of `next`'s leading faults,
+            // and the after-cut state is known: continue it through `next`.
+            let (mut gap, mut after) = (self.trail, self.after);
+            next.apply(&mut gap, &mut after);
+            return RunSummary {
+                cut: true,
+                after,
+                trail: gap,
+                ..*self
+            };
+        }
+        if !next.healthy {
+            return RunSummary {
+                trail: self.trail + next.trail,
+                ..*self
+            };
+        }
+        // The junction is bypassed: `next`'s first run extends this one.
+        RunSummary {
+            first: self.first + next.first,
+            cut: next.cut,
+            after: next.after,
+            trail: next.trail,
+            ..*self
+        }
+    }
+
+    /// Continues a [`GroupCounter`] scan over the stretch: `gap` is the
+    /// scan's faulty gap before it (updated to the gap after it), `counter`
+    /// the counter's state. Equivalent to scanning the stretch's nodes, in
+    /// O(1).
+    pub(crate) fn apply(&self, gap: &mut usize, counter: &mut GroupCounter) {
+        debug_assert_eq!(self.after.nodes_per_group, counter.nodes_per_group);
+        if *gap < self.k && *gap + self.lead >= self.k {
+            counter.cut();
+        }
+        if !self.healthy {
+            *gap += self.lead;
+            return;
+        }
+        counter.extend_run(self.first);
+        if self.cut {
+            counter.placed += self.after.placed;
+            counter.current = self.after.current;
+        }
+        *gap = self.trail;
     }
 }
 
@@ -181,6 +333,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use topology::runscan::scan_khop_runs_from;
 
     fn order(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
@@ -283,6 +436,86 @@ mod tests {
                 let faults = FaultSet::from_nodes(faulty.into_iter().map(NodeId));
                 (order, faults, k, m)
             })
+    }
+
+    /// A run summary of positions `0..line.len()`, faulty where `line` says.
+    fn summary(line: &[bool], k: usize, m: usize) -> RunSummary {
+        RunSummary::of((0..line.len()).map(NodeId), k, m, |n| line[n.index()])
+    }
+
+    /// A fault pattern from raw draws: a position is faulty when its draw is
+    /// below `density` (0 = healthy line, 4 = all faulty), so long fault runs
+    /// around the `K` threshold are common.
+    fn pattern(draws: &[usize], density: usize) -> Vec<bool> {
+        draws.iter().map(|&d| d < density).collect()
+    }
+
+    #[test]
+    fn run_summary_of_an_empty_stretch_is_the_identity() {
+        let x = summary(&[false, true, true, false, true], 2, 3);
+        let empty = RunSummary::empty(2, 3);
+        assert_eq!(empty.then(&x), x);
+        assert_eq!(x.then(&empty), x);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Summaries compose: the summary of `a ++ b` is `a`'s followed by
+        /// `b`'s, field for field. Short pieces keep the junction — a first
+        /// run not yet cut, faults straddling the boundary — common.
+        #[test]
+        fn run_summaries_compose(
+            a in proptest::collection::vec(0usize..4, 0..12),
+            b in proptest::collection::vec(0usize..4, 0..12),
+            density in 0usize..=4,
+            k in 1usize..=4,
+            m_pick in 0usize..4,
+        ) {
+            let m = [1usize, 3, 8, 16][m_pick];
+            let (a, b) = (pattern(&a, density), pattern(&b, density));
+            let ab: Vec<bool> = a.iter().chain(&b).copied().collect();
+            prop_assert_eq!(summary(&ab, k, m), summary(&a, k, m).then(&summary(&b, k, m)));
+        }
+
+        /// Applying a summary is scanning its stretch: from any entry state
+        /// (gap < 2K, open partial group < m), `apply` leaves the gap and the
+        /// counter exactly where a `GroupCounter` scan continued from that
+        /// state leaves them.
+        #[test]
+        fn applied_summary_matches_a_continued_scan(
+            draws in proptest::collection::vec(0usize..4, 0..24),
+            density in 0usize..=4,
+            k in 1usize..=4,
+            m_pick in 0usize..4,
+            gap_pick in 0usize..8,
+            current_pick in 0usize..16,
+            placed in 0usize..64,
+        ) {
+            let m = [1usize, 3, 8, 16][m_pick];
+            let line = pattern(&draws, density);
+            let entry = GroupCounter {
+                nodes_per_group: m,
+                current: current_pick % m,
+                placed,
+            };
+            let gap = gap_pick % (2 * k);
+
+            let mut scanned = entry;
+            let scanned_gap = scan_khop_runs_from(
+                gap,
+                (0..line.len()).map(NodeId),
+                k,
+                |n| line[n.index()],
+                &mut scanned,
+            );
+            let mut applied = entry;
+            let mut applied_gap = gap;
+            summary(&line, k, m).apply(&mut applied_gap, &mut applied);
+            prop_assert_eq!(applied_gap, scanned_gap);
+            prop_assert_eq!(applied.current, scanned.current);
+            prop_assert_eq!(applied.placed, scanned.placed);
+        }
     }
 
     proptest! {

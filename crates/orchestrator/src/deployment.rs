@@ -72,12 +72,7 @@ impl DeploymentStrategy {
 
     /// The nodes of sub-line `i`, in HBD order.
     pub fn subline(&self, i: usize) -> Result<Vec<NodeId>> {
-        if i >= self.sublines() {
-            return Err(HbdError::unknown_entity(format!(
-                "sub-line {i} of a {}-sub-line deployment",
-                self.sublines()
-            )));
-        }
+        self.check_subline(i)?;
         Ok((0..self.subline_length())
             .map(|j| NodeId(i + j * self.nodes_per_tor))
             .collect())
@@ -91,15 +86,28 @@ impl DeploymentStrategy {
         domain: usize,
         tors_per_domain: usize,
     ) -> Result<Vec<NodeId>> {
-        let full = self.subline(subline)?;
+        self.check_subline(subline)?;
+        let length = self.subline_length();
         let start = domain * tors_per_domain;
-        let end = ((domain + 1) * tors_per_domain).min(full.len());
-        if start >= full.len() {
+        if start >= length {
             return Err(HbdError::unknown_entity(format!(
                 "domain {domain} of sub-line {subline}"
             )));
         }
-        Ok(full[start..end].to_vec())
+        let end = ((domain + 1) * tors_per_domain).min(length);
+        Ok((start..end)
+            .map(|j| NodeId(subline + j * self.nodes_per_tor))
+            .collect())
+    }
+
+    fn check_subline(&self, i: usize) -> Result<()> {
+        if i >= self.sublines() {
+            return Err(HbdError::unknown_entity(format!(
+                "sub-line {i} of a {}-sub-line deployment",
+                self.sublines()
+            )));
+        }
+        Ok(())
     }
 
     /// The HBD neighbours (main links) of a node: `n ± p`.

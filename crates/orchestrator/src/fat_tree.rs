@@ -19,14 +19,14 @@
 //! ordering ("first relaxes the TP Group alignment constraints ... then relaxes
 //! the TP Group crossing constraints").
 
-use crate::dcn_free::{orchestrate_dcn_free, GroupCounter, GroupCutter};
+use crate::dcn_free::{orchestrate_dcn_free, GroupCounter, GroupCutter, RunSummary};
 use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
 use hbd_types::par::par_map;
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
-use topology::runscan::{scan_khop_runs, RunSink};
+use std::sync::Arc;
+use topology::runscan::{scan_khop_runs, scan_khop_runs_from, RunSink};
 use topology::{FatTree, FaultSet};
 
 /// What the job needs from the orchestrator.
@@ -71,41 +71,61 @@ pub struct FatTreeOrchestrator {
 /// the probe-evaluation threads. It depends only on `(k, nodes_per_group,
 /// faults)`, never on the job size, so one scratch also serves every search
 /// of its key (the max-job ladder, a placement service epoch).
+///
+/// A probe with `c` constrained segments and `a` aligned domains places
+/// the memoized variants of segments `0..c` (aligned in domains `< a`),
+/// read here as prefix sums, plus the groups its residual line yields: each
+/// sub-line `i` from domain `c / p + [i < c % p]` on, then the nodes no
+/// segment owns (the trailing partial rack). A residual sub-line is a
+/// precomposed [`RunSummary`] suffix, so a count costs O(p) plus the tail.
+/// In a probe, a node of domain `d` is faulty when it is in `expanded` if
+/// `d < a` and in `raw` otherwise — exact, because the ToR expansion never
+/// crosses a domain boundary.
 #[derive(Debug)]
 pub(crate) struct SearchScratch {
-    /// The deployment order (Algorithm 3). Layout-only (fault-independent),
-    /// so patched scratches share it by `Arc`.
-    order: Arc<Vec<NodeId>>,
-    /// For every node id, the sub-line segment owning it (`usize::MAX` for
-    /// nodes outside any segment, e.g. a trailing partial rack). Replaces the
-    /// per-probe `consumed` set: a probe with `c` constrained segments keeps
-    /// exactly the nodes with `owner >= c` in its residual pass. Layout-only,
-    /// shared by `Arc` like `order`.
-    owner: Arc<Vec<usize>>,
-    /// Both memoized placement variants per segment, in segment order.
-    /// Shorter than the segment pool when a segment is undefined for the
-    /// layout (mirrors the `break` in the uncached loop). Each entry is
-    /// `Arc`-shared so a patch carries clean segments over for free.
-    segments: Vec<Arc<SegmentCache>>,
-    /// `effective[a]` = the fault set with the ToR expansion applied in
-    /// domains `< a`; `effective[0]` is the raw fault set.
-    effective: Vec<FaultSet>,
-    /// The fault set this scratch was built from — the source of the
-    /// per-segment fingerprints: a segment's fingerprint is the fault words
-    /// covering its aggregation domain, read out of this set with
-    /// [`FaultSet::range_eq`] when a patch decides what to re-orchestrate.
-    fingerprint: FaultSet,
-    /// `placed[n]` = nodes placed with the first `n` constraints applied —
-    /// the only thing a search probe asks of a placement. Filled lazily by
-    /// [`FatTreeOrchestrator::placed_nodes`], one slot per constraint count;
-    /// job-size-independent like the rest of the scratch, so every search
-    /// sharing the scratch reuses every count already taken.
-    placed: Vec<OnceLock<usize>>,
+    /// Both memoized placement variants of every sub-line segment, as one
+    /// `Arc`-shared slice per aggregation domain (its `p` segments in
+    /// sub-line order), so a patch carries a clean domain over with one
+    /// reference count. Shorter than the domain count when trailing domains
+    /// own no segment (mirrors the `break` in the uncached loop).
+    domains: Vec<Arc<[SegmentCache]>>,
+    /// `suffixes[i][d]` = the raw-fault run summary of sub-line `i` from
+    /// domain `d` to its end; `suffixes[i][domains.len()]` is empty.
+    /// `Arc`-shared per sub-line: a patch recomposes only the sub-lines
+    /// whose raw summaries it re-scanned.
+    suffixes: Vec<Arc<[RunSummary]>>,
+    /// `raw_prefix[s]` = nodes placed by the raw variants of segments
+    /// `0..s`.
+    raw_prefix: Vec<usize>,
+    /// `aligned_prefix[s]` = nodes placed by the aligned variants of
+    /// segments `0..s`.
+    aligned_prefix: Vec<usize>,
+    /// The fault set this scratch was built from — also the source of the
+    /// per-domain fingerprints: a domain's fingerprint is the fault words
+    /// covering it, compared with [`FaultSet::range_eq`] when a patch
+    /// decides what to re-orchestrate.
+    raw: FaultSet,
+    /// `raw` with every fault of an aggregation domain expanded to its
+    /// whole ToR (faults past the last domain stay as they are).
+    expanded: FaultSet,
+}
+
+impl SearchScratch {
+    /// Every segment's cache, in segment order (domain-major).
+    fn segments(&self) -> impl Iterator<Item = &SegmentCache> {
+        self.domains.iter().flat_map(|domain| domain.iter())
+    }
+
+    /// Number of memoized segments.
+    fn segment_count(&self) -> usize {
+        self.raw_prefix.len() - 1
+    }
 }
 
 /// The two placements a sub-line segment can contribute, depending only on
-/// whether its aggregation domain is alignment-constrained.
-#[derive(Debug)]
+/// whether its aggregation domain is alignment-constrained, plus its stretch
+/// of the residual line as a count-only probe sees it.
+#[derive(Debug, Clone)]
 struct SegmentCache {
     raw: PlacementScheme,
     aligned: PlacementScheme,
@@ -113,15 +133,18 @@ struct SegmentCache {
     raw_nodes: usize,
     /// `aligned.nodes_placed()`, for the count-only probes.
     aligned_nodes: usize,
+    /// The segment's nodes under the raw faults, summarized.
+    summary: RunSummary,
 }
 
 impl SegmentCache {
-    fn new(raw: PlacementScheme, aligned: PlacementScheme) -> Self {
+    fn new(raw: PlacementScheme, aligned: PlacementScheme, summary: RunSummary) -> Self {
         SegmentCache {
             raw_nodes: raw.nodes_placed(),
             aligned_nodes: aligned.nodes_placed(),
             raw,
             aligned,
+            summary,
         }
     }
 }
@@ -289,9 +312,9 @@ impl FatTreeOrchestrator {
     }
 
     /// Builds the per-search scratch shared by every probe of one constraint
-    /// search: the deployment order, the segment-ownership mask, the effective
-    /// (ToR-expanded) fault set per `aligned_domains` value, and both
-    /// placement variants of every sub-line segment.
+    /// search: the raw and ToR-expanded fault sets, both placement variants
+    /// and the raw run summary of every sub-line segment, the per-sub-line
+    /// suffix summaries and the segment-count prefix sums.
     ///
     /// A segment's placement depends only on the segment and on whether its
     /// own aggregation domain is aligned: ToRs never straddle domains
@@ -304,61 +327,89 @@ impl FatTreeOrchestrator {
         request: &OrchestrationRequest,
         faults: &FaultSet,
     ) -> SearchScratch {
-        let p = self.deployment.sublines();
         let npd = self.fat_tree.nodes_per_aggregation_domain();
-        let tors_per_domain = npd / p;
-        let n_segments = self.segment_constraints();
         let n_domains = self.alignment_constraints();
-
-        // effective[a] = faults with the ToR expansion applied in domains < a,
-        // built incrementally (one domain's worth of expansion per step).
-        let mut effective: Vec<FaultSet> = Vec::with_capacity(n_domains + 1);
-        effective.push(faults.clone());
-        for a in 1..=n_domains {
-            let mut next = effective[a - 1].clone();
-            for node in faults.iter() {
-                if node.index() / npd == a - 1 {
-                    self.expand_tor(&mut next, node);
-                }
+        let mut expanded = faults.clone();
+        for node in faults.iter() {
+            if node.index() / npd < n_domains {
+                self.expand_tor(&mut expanded, node);
             }
-            effective.push(next);
         }
-        let fully_expanded = effective.last().expect("effective[0] always exists");
-
-        let mut owner = vec![usize::MAX; self.fat_tree.nodes()];
-        let mut segments = Vec::with_capacity(n_segments);
-        for seg in 0..n_segments {
-            let domain = seg / p;
-            let subline = seg % p;
-            let Ok(nodes) = self
-                .deployment
-                .subline_segment(subline, domain, tors_per_domain)
-            else {
-                break;
-            };
-            for node in &nodes {
-                owner[node.index()] = seg;
-            }
-            segments.push(Arc::new(SegmentCache::new(
-                orchestrate_dcn_free(&nodes, request.k, &effective[0], request.nodes_per_group),
-                orchestrate_dcn_free(&nodes, request.k, fully_expanded, request.nodes_per_group),
-            )));
-        }
-
+        let orchestrate = |nodes: &[NodeId], faults: &FaultSet| {
+            orchestrate_dcn_free(nodes, request.k, faults, request.nodes_per_group)
+        };
+        let domains: Vec<Arc<[SegmentCache]>> = (0..self.segment_domains())
+            .map(|domain| {
+                (0..self.deployment.sublines())
+                    .map(|subline| {
+                        let nodes = self.segment_nodes(subline, domain);
+                        SegmentCache::new(
+                            orchestrate(&nodes, faults),
+                            orchestrate(&nodes, &expanded),
+                            Self::segment_summary(request, &nodes, faults),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let suffixes = (0..self.deployment.sublines())
+            .map(|subline| Self::subline_suffix(request, &domains, subline))
+            .collect();
+        let (mut raw_prefix, mut aligned_prefix) = (vec![0], vec![0]);
+        extend_prefix_sums(&mut raw_prefix, &mut aligned_prefix, &domains);
         SearchScratch {
-            order: Arc::new(self.deployment.deployment_order()),
-            owner: Arc::new(owner),
-            segments,
-            effective,
-            fingerprint: faults.clone(),
-            placed: self.empty_count_memo(),
+            domains,
+            suffixes,
+            raw_prefix,
+            aligned_prefix,
+            raw: faults.clone(),
+            expanded,
         }
     }
 
-    /// One empty `placed` slot per constraint count of the search range.
-    fn empty_count_memo(&self) -> Vec<OnceLock<usize>> {
-        let total = self.segment_constraints() + self.alignment_constraints();
-        (0..=total).map(|_| OnceLock::new()).collect()
+    /// Number of aggregation domains that own sub-line segments: a trailing
+    /// domain past the last full sub-line row owns none.
+    fn segment_domains(&self) -> usize {
+        let tors_per_domain =
+            self.fat_tree.nodes_per_aggregation_domain() / self.deployment.sublines();
+        self.deployment.subline_length().div_ceil(tors_per_domain)
+    }
+
+    /// The nodes of segment `(subline, domain)`, in HBD order.
+    fn segment_nodes(&self, subline: usize, domain: usize) -> Vec<NodeId> {
+        let tors_per_domain =
+            self.fat_tree.nodes_per_aggregation_domain() / self.deployment.sublines();
+        self.deployment
+            .subline_segment(subline, domain, tors_per_domain)
+            .expect("every domain below segment_domains() owns a segment per sub-line")
+    }
+
+    /// The run summary of a segment's `nodes` under the `raw` faults.
+    fn segment_summary(
+        request: &OrchestrationRequest,
+        nodes: &[NodeId],
+        raw: &FaultSet,
+    ) -> RunSummary {
+        RunSummary::of(
+            nodes.iter().copied(),
+            request.k,
+            request.nodes_per_group,
+            |n| raw.is_faulty(n),
+        )
+    }
+
+    /// `suffixes[subline]` of a scratch with these segment caches.
+    fn subline_suffix(
+        request: &OrchestrationRequest,
+        domains: &[Arc<[SegmentCache]>],
+        subline: usize,
+    ) -> Arc<[RunSummary]> {
+        let empty = RunSummary::empty(request.k, request.nodes_per_group);
+        let mut suffix = vec![empty; domains.len() + 1];
+        for (domain, segments) in domains.iter().enumerate().rev() {
+            suffix[domain] = segments[subline].summary.then(&suffix[domain + 1]);
+        }
+        suffix.into()
     }
 
     /// Derives the scratch for `faults` from a scratch previously built (or
@@ -366,31 +417,28 @@ impl FatTreeOrchestrator {
     /// fault set — the incremental half of the oracle-vs-fast-solver pair
     /// whose oracle is the cold [`search_scratch`](Self::search_scratch)
     /// rebuild. Cost is proportional to the *delta* between the two fault
-    /// sets, not the cluster:
+    /// sets plus O(domains) reference counts, not to the cluster:
     ///
-    /// * the deployment order and ownership mask are layout-only and shared
-    ///   by `Arc`;
     /// * an aggregation domain whose fault words are unchanged
-    ///   ([`FaultSet::range_eq`] against the old scratch's fingerprint)
-    ///   contributes nothing — its segments are `Arc`-cloned and its slices
-    ///   of every effective set are already correct;
-    /// * a dirty domain splices its new raw words into the effective sets
-    ///   that keep it unexpanded and its rebuilt ToR expansion into the rest
-    ///   ([`FaultSet::splice_range`]), exact because the ToR expansion never
-    ///   crosses a domain boundary;
+    ///   ([`FaultSet::range_eq`] against the old raw set) contributes
+    ///   nothing — its segment slice is `Arc`-cloned and its words of the
+    ///   expanded set are already correct;
+    /// * a dirty domain splices its rebuilt ToR expansion into the expanded
+    ///   set ([`FaultSet::splice_range`]), exact because the ToR expansion
+    ///   never crosses a domain boundary; the raw set is `faults` itself;
     /// * only segments whose own nodes' raw (resp. expanded) bits flipped
-    ///   re-orchestrate their raw (resp. aligned) variant; every other
-    ///   variant is carried over.
+    ///   re-orchestrate their raw variant and summary (resp. aligned
+    ///   variant); every other variant is carried over;
+    /// * only sub-lines with a re-scanned summary recompose their suffix
+    ///   summaries (O(domains) each), and the prefix sums are recomputed
+    ///   from the first re-orchestrated domain on.
     ///
     /// Bit-exactness versus the cold rebuild follows from
-    /// `orchestrate_dcn_free` being a deterministic function of the fault
-    /// bits on the segment's own nodes: an unchanged fingerprint implies an
-    /// identical placement, so cloning it is indistinguishable from
-    /// recomputing it. Pinned field-for-field by the patch proptests below.
-    ///
-    /// The placed-node counts are *not* carried over: a count reads the
-    /// residual line across every domain, so the patched scratch starts with
-    /// an empty count memo.
+    /// `orchestrate_dcn_free` and [`RunSummary::of`] being deterministic
+    /// functions of the fault bits on the segment's own nodes: an unchanged
+    /// fingerprint implies an identical placement and summary, so cloning
+    /// them is indistinguishable from recomputing them. Pinned field-for-field
+    /// by the patch proptests below.
     pub(crate) fn patch_scratch(
         &self,
         request: &OrchestrationRequest,
@@ -399,117 +447,105 @@ impl FatTreeOrchestrator {
     ) -> (SearchScratch, ScratchPatchStats) {
         let p = self.deployment.sublines();
         let npd = self.fat_tree.nodes_per_aggregation_domain();
-        let tors_per_domain = npd / p;
         let n_domains = self.alignment_constraints();
 
-        let mut effective = old.effective.clone();
-        let mut raw_dirty = vec![false; old.segments.len()];
-        let mut aligned_dirty = vec![false; old.segments.len()];
+        let mut expanded = old.expanded.clone();
+        let mut domains = old.domains.clone();
+        let mut resummarize = vec![false; p];
+        let mut first_rebuilt = domains.len();
         let mut stats = ScratchPatchStats::default();
-        let mark = |flags: &mut [bool], domain: usize, node: NodeId| {
-            if let Some(flag) = flags.get_mut(domain * p + node.index() % p) {
-                *flag = true;
-            }
-        };
-
-        let old_expanded = old.effective.last().expect("effective[0] always exists");
         for domain in 0..n_domains {
             let (lo, hi) = (domain * npd, (domain + 1) * npd);
-            if faults.range_eq(&old.fingerprint, lo, hi) {
+            if faults.range_eq(&old.raw, lo, hi) {
                 continue;
             }
             stats.domains_patched += 1;
-            // Raw flips: mark the owning segment of every flipped node and
-            // splice the new raw words into the effective sets that keep this
-            // domain unexpanded (`a <= domain`).
+            // Rebuild this domain's ToR expansion (it adds only in-domain
+            // bits — `npd` is a multiple of `p`) and splice it in. A raw
+            // flip dirties the raw variant of the flipped node's sub-line,
+            // an expansion flip its aligned variant.
+            let mut domain_expanded = FaultSet::new();
             for node in faults.iter_range(lo, hi) {
-                if !old.fingerprint.is_faulty(node) {
-                    mark(&mut raw_dirty, domain, node);
+                domain_expanded.add(node);
+                self.expand_tor(&mut domain_expanded, node);
+            }
+            let raw_dirty = flipped_sublines(p, faults, &old.raw, lo, hi);
+            let aligned_dirty = flipped_sublines(p, &domain_expanded, &old.expanded, lo, hi);
+            expanded.splice_range(&domain_expanded, lo, hi);
+            let Some(slot) = domains.get_mut(domain) else {
+                continue;
+            };
+            first_rebuilt = first_rebuilt.min(domain);
+            let mut rebuilt = Vec::with_capacity(p);
+            for (subline, cache) in slot.iter().enumerate() {
+                let (raw_hit, aligned_hit) = (raw_dirty[subline], aligned_dirty[subline]);
+                if !raw_hit && !aligned_hit {
+                    rebuilt.push(cache.clone());
+                    continue;
                 }
+                stats.segments_reorchestrated += 1;
+                resummarize[subline] |= raw_hit;
+                let nodes = self.segment_nodes(subline, domain);
+                let orchestrate = |faults: &FaultSet| {
+                    orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group)
+                };
+                rebuilt.push(if raw_hit {
+                    SegmentCache::new(
+                        orchestrate(faults),
+                        if aligned_hit {
+                            orchestrate(&expanded)
+                        } else {
+                            cache.aligned.clone()
+                        },
+                        Self::segment_summary(request, &nodes, faults),
+                    )
+                } else {
+                    SegmentCache::new(cache.raw.clone(), orchestrate(&expanded), cache.summary)
+                });
             }
-            for node in old.fingerprint.iter_range(lo, hi) {
-                if !faults.is_faulty(node) {
-                    mark(&mut raw_dirty, domain, node);
-                }
-            }
-            for eff in effective.iter_mut().take(domain + 1) {
-                eff.splice_range(faults, lo, hi);
-            }
-            // Expanded flips: rebuild this domain's ToR expansion (adds only
-            // in-domain bits — `npd` is a multiple of `p`) and diff it
-            // against the old fully-expanded set. Only segments the
-            // expansion delta touches lose their aligned variant.
-            let mut expanded = FaultSet::new();
-            for node in faults.iter_range(lo, hi) {
-                expanded.add(node);
-                self.expand_tor(&mut expanded, node);
-            }
-            for node in expanded.iter_range(lo, hi) {
-                if !old_expanded.is_faulty(node) {
-                    mark(&mut aligned_dirty, domain, node);
-                }
-            }
-            for node in old_expanded.iter_range(lo, hi) {
-                if !expanded.is_faulty(node) {
-                    mark(&mut aligned_dirty, domain, node);
-                }
-            }
-            for eff in effective.iter_mut().skip(domain + 1) {
-                eff.splice_range(&expanded, lo, hi);
-            }
+            *slot = rebuilt.into();
         }
 
         // Faults past the last aggregation domain are never ToR-expanded and
-        // own no segment: splice them raw into every effective set.
+        // own no segment: splice them in raw.
         let tail = n_domains * npd;
-        if !faults.range_eq(&old.fingerprint, tail, usize::MAX) {
-            for eff in effective.iter_mut() {
-                eff.splice_range(faults, tail, usize::MAX);
-            }
+        if !faults.range_eq(&old.raw, tail, usize::MAX) {
+            expanded.splice_range(faults, tail, usize::MAX);
         }
 
-        let last = effective.len() - 1;
-        let mut segments = Vec::with_capacity(old.segments.len());
-        for (seg, cache) in old.segments.iter().enumerate() {
-            let (raw_hit, aligned_hit) = (raw_dirty[seg], aligned_dirty[seg]);
-            if !raw_hit && !aligned_hit {
-                segments.push(Arc::clone(cache));
-                stats.segments_reused += 1;
-                continue;
-            }
-            stats.segments_reorchestrated += 1;
-            let nodes = self
-                .deployment
-                .subline_segment(seg % p, seg / p, tors_per_domain)
-                .expect("segment was defined when the old scratch was built");
-            let raw = if raw_hit {
-                orchestrate_dcn_free(&nodes, request.k, &effective[0], request.nodes_per_group)
-            } else {
-                cache.raw.clone()
-            };
-            let aligned = if aligned_hit {
-                orchestrate_dcn_free(&nodes, request.k, &effective[last], request.nodes_per_group)
-            } else {
-                cache.aligned.clone()
-            };
-            segments.push(Arc::new(SegmentCache::new(raw, aligned)));
-        }
-
+        stats.segments_reused = old.segment_count() - stats.segments_reorchestrated;
+        let suffixes = (0..p)
+            .map(|subline| {
+                if resummarize[subline] {
+                    Self::subline_suffix(request, &domains, subline)
+                } else {
+                    Arc::clone(&old.suffixes[subline])
+                }
+            })
+            .collect();
+        let carried = first_rebuilt * p;
+        let mut raw_prefix = old.raw_prefix[..=carried].to_vec();
+        let mut aligned_prefix = old.aligned_prefix[..=carried].to_vec();
+        extend_prefix_sums(
+            &mut raw_prefix,
+            &mut aligned_prefix,
+            &domains[first_rebuilt..],
+        );
         let scratch = SearchScratch {
-            order: Arc::clone(&old.order),
-            owner: Arc::clone(&old.owner),
-            segments,
-            effective,
-            fingerprint: faults.clone(),
-            placed: self.empty_count_memo(),
+            domains,
+            suffixes,
+            raw_prefix,
+            aligned_prefix,
+            raw: faults.clone(),
+            expanded,
         };
         (scratch, stats)
     }
 
     /// [`placement_with_constraints`](Self::placement_with_constraints)
     /// against a prebuilt [`SearchScratch`]: constrained segments copy their
-    /// memoized placements, the residual pass streams the cached deployment
-    /// order through the linear-scan kernel, and no fault set is cloned.
+    /// memoized placements, the residual pass streams the probe's residual
+    /// line through the linear-scan kernel, and no fault set is cloned.
     /// Bit-identical to the uncached path (pinned by the memoization
     /// invariance test).
     pub(crate) fn placement_with_constraints_cached(
@@ -533,37 +569,111 @@ impl FatTreeOrchestrator {
     }
 
     /// `placement_with_constraints_cached(request, scratch, n_constraints)
-    /// .nodes_placed()` without the placement: the constrained segments
-    /// contribute their memoized node counts and the residual scan only
-    /// counts complete groups, so nothing is allocated or sorted. Memoized
-    /// in the scratch — the first call per constraint count walks, every
-    /// later one (any job size, any thread) reads the slot.
+    /// .nodes_placed()` in O(p) without the placement: the constrained
+    /// segments contribute a prefix-sum difference, each residual sub-line
+    /// one precomposed suffix summary applied to the running counter, and
+    /// only the unowned tail (fewer than `p` nodes) is scanned. Nothing is
+    /// allocated, so every search sharing the scratch can afford to recount.
     pub(crate) fn placed_nodes(
         &self,
         request: &OrchestrationRequest,
         scratch: &SearchScratch,
         n_constraints: usize,
     ) -> usize {
-        *scratch.placed[n_constraints].get_or_init(|| {
-            let mut segment_nodes = 0usize;
-            let mut counter = GroupCounter::new(request.nodes_per_group);
-            self.walk_probe(
-                request,
-                scratch,
-                n_constraints,
-                |_, nodes| segment_nodes += nodes,
-                &mut counter,
-            );
-            segment_nodes + counter.placed
-        })
+        let p = self.deployment.sublines();
+        let (constrained, aligned) = self.probe_shape(scratch, n_constraints);
+        let split = (aligned * p).min(constrained);
+        let segment_nodes = scratch.aligned_prefix[split] + scratch.raw_prefix[constrained]
+            - scratch.raw_prefix[split];
+        // The suffixes are raw-fault summaries: with an aligned domain every
+        // segment is constrained, so each suffix read here is empty.
+        let mut gap = 0usize;
+        let mut counter = GroupCounter::new(request.nodes_per_group);
+        for (subline, suffix) in scratch.suffixes.iter().enumerate() {
+            suffix[resume_domain(constrained, p, subline)].apply(&mut gap, &mut counter);
+        }
+        scan_khop_runs_from(
+            gap,
+            self.tail(),
+            request.k,
+            |&n| self.probe_faulty(scratch, aligned, n),
+            &mut counter,
+        );
+        segment_nodes + counter.placed
     }
 
-    /// The walk shared by the materializing and the counting probe with
+    /// The O(cluster) count [`placed_nodes`](Self::placed_nodes) is pinned
+    /// to: the materializing walk with a counting sink.
+    #[cfg(test)]
+    fn placed_nodes_by_walk(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        n_constraints: usize,
+    ) -> usize {
+        let mut segment_nodes = 0usize;
+        let mut counter = GroupCounter::new(request.nodes_per_group);
+        self.walk_probe(
+            request,
+            scratch,
+            n_constraints,
+            |_, nodes| segment_nodes += nodes,
+            &mut counter,
+        );
+        segment_nodes + counter.placed
+    }
+
+    /// The shape of a probe with `n_constraints` constraints: how many
+    /// segments are constrained and how many domains aligned.
+    fn probe_shape(&self, scratch: &SearchScratch, n_constraints: usize) -> (usize, usize) {
+        let n_segments = self.segment_constraints();
+        (
+            n_constraints.min(n_segments).min(scratch.segment_count()),
+            n_constraints
+                .saturating_sub(n_segments)
+                .min(self.alignment_constraints()),
+        )
+    }
+
+    /// Whether `node` is faulty in a probe with `aligned_domains` aligned
+    /// domains.
+    fn probe_faulty(&self, scratch: &SearchScratch, aligned_domains: usize, node: NodeId) -> bool {
+        let faults =
+            if node.index() / self.fat_tree.nodes_per_aggregation_domain() < aligned_domains {
+                &scratch.expanded
+            } else {
+                &scratch.raw
+            };
+        faults.is_faulty(node)
+    }
+
+    /// The nodes no sub-line segment owns — the trailing partial rack —
+    /// in deployment order.
+    fn tail(&self) -> impl Iterator<Item = NodeId> {
+        let owned = self.deployment.subline_length() * self.deployment.sublines();
+        (owned..self.fat_tree.nodes()).map(NodeId)
+    }
+
+    /// The residual line of a probe with `constrained` constrained segments:
+    /// the deployment order minus those segments' nodes, i.e. every sub-line
+    /// from its [`resume_domain`] on, then the [`tail`](Self::tail).
+    fn residual(&self, constrained: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let p = self.deployment.sublines();
+        let length = self.deployment.subline_length();
+        let tors_per_domain = self.fat_tree.nodes_per_aggregation_domain() / p;
+        (0..p)
+            .flat_map(move |subline| {
+                let from = resume_domain(constrained, p, subline) * tors_per_domain;
+                (from..length).map(move |j| NodeId(subline + j * p))
+            })
+            .chain(self.tail())
+    }
+
+    /// The walk shared by the materializing probe and the count oracle with
     /// `n_constraints` constraints: `segment` receives the memoized variant
     /// (and its node count) of every constrained segment in segment order,
-    /// then the residual line — the deployment order minus the constrained
-    /// segments' nodes — is run-scanned into `sink` against the effective
-    /// fault set of the probe's aligned-domain count.
+    /// then the probe's [`residual`](Self::residual) line is run-scanned
+    /// into `sink` against the probe's fault rule.
     fn walk_probe<S: RunSink<NodeId>>(
         &self,
         request: &OrchestrationRequest,
@@ -573,29 +683,18 @@ impl FatTreeOrchestrator {
         sink: &mut S,
     ) {
         let p = self.deployment.sublines();
-        let n_segments = self.segment_constraints();
-        let constrained = n_constraints.min(n_segments).min(scratch.segments.len());
-        let aligned_domains = n_constraints
-            .saturating_sub(n_segments)
-            .min(scratch.effective.len() - 1);
-        let effective = &scratch.effective[aligned_domains];
-
-        for (seg, cache) in scratch.segments.iter().enumerate().take(constrained) {
-            let (placed, nodes) = if seg / p < aligned_domains {
-                (&cache.aligned, cache.aligned_nodes)
+        let (constrained, aligned) = self.probe_shape(scratch, n_constraints);
+        for (seg, cache) in scratch.segments().enumerate().take(constrained) {
+            if seg / p < aligned {
+                segment(&cache.aligned, cache.aligned_nodes);
             } else {
-                (&cache.raw, cache.raw_nodes)
-            };
-            segment(placed, nodes);
+                segment(&cache.raw, cache.raw_nodes);
+            }
         }
         scan_khop_runs(
-            scratch
-                .order
-                .iter()
-                .copied()
-                .filter(|n| scratch.owner[n.index()] >= constrained),
+            self.residual(constrained),
             request.k,
-            |n| effective.is_faulty(*n),
+            |&n| self.probe_faulty(scratch, aligned, n),
             sink,
         );
     }
@@ -639,11 +738,11 @@ impl FatTreeOrchestrator {
         threads: usize,
     ) -> Result<PlacementScheme> {
         request.validate()?;
-        // Everything probe-invariant is computed once: the deployment order,
-        // the segment-ownership mask, the ToR-expanded fault set per
-        // aligned-domain count, and both placement variants of every segment.
-        // Each probe then only sums memoized segment counts and scans its
-        // residual line.
+        // Everything probe-invariant is computed once: the raw and
+        // ToR-expanded fault sets, both placement variants and the run
+        // summary of every segment, and the per-sub-line suffix summaries.
+        // Each probe then only reads prefix sums and folds one suffix
+        // summary per sub-line.
         let scratch = self.search_scratch(request, faults);
         self.orchestrate_with_scratch(request, &scratch, threads).0
     }
@@ -651,8 +750,7 @@ impl FatTreeOrchestrator {
     /// The constraint search of [`orchestrate_par`](Self::orchestrate_par)
     /// against a prebuilt [`SearchScratch`], so callers answering many
     /// requests against one fault set (the placement service, the max-job
-    /// search) can amortize the scratch — and its placed-node counts —
-    /// across searches. One scratch serves every job size of its
+    /// search) can amortize the scratch across searches. One scratch serves every job size of its
     /// `(k, nodes_per_group)` key.
     ///
     /// Every probe is decided by a placed-node count
@@ -689,7 +787,7 @@ impl FatTreeOrchestrator {
 
     /// Algorithm 5's search alone: the most constrained feasible constraint
     /// count (`None` when even the fully relaxed placement is too small) and
-    /// the number of probes evaluated. A probe is feasible when its memoized
+    /// the number of probes evaluated. A probe is feasible when its
     /// placed-node count ([`placed_nodes`](Self::placed_nodes)) covers the
     /// job's whole TP groups.
     pub(crate) fn constraint_search(
@@ -859,6 +957,39 @@ impl FatTreeOrchestrator {
     }
 }
 
+/// The domain sub-line `subline` resumes at in the residual line of a probe
+/// with `constrained` constrained segments: segments are numbered
+/// domain-major (`domain * p + subline`), so the sub-lines below
+/// `constrained % p` have one more constrained domain than the rest.
+fn resume_domain(constrained: usize, p: usize, subline: usize) -> usize {
+    constrained / p + usize::from(subline < constrained % p)
+}
+
+/// Appends the raw and aligned node counts of `domains`' segments, in
+/// segment order, to the running prefix sums.
+fn extend_prefix_sums(
+    raw_prefix: &mut Vec<usize>,
+    aligned_prefix: &mut Vec<usize>,
+    domains: &[Arc<[SegmentCache]>],
+) {
+    for cache in domains.iter().flat_map(|domain| domain.iter()) {
+        raw_prefix.push(raw_prefix[raw_prefix.len() - 1] + cache.raw_nodes);
+        aligned_prefix.push(aligned_prefix[aligned_prefix.len() - 1] + cache.aligned_nodes);
+    }
+}
+
+/// Which sub-lines own a node in `lo..hi` whose bit differs between `new`
+/// and `old` (one flag per sub-line, `node % p`).
+fn flipped_sublines(p: usize, new: &FaultSet, old: &FaultSet, lo: usize, hi: usize) -> Vec<bool> {
+    let mut flags = vec![false; p];
+    let added = new.iter_range(lo, hi).filter(|&n| !old.is_faulty(n));
+    let removed = old.iter_range(lo, hi).filter(|&n| !new.is_faulty(n));
+    for node in added.chain(removed) {
+        flags[node.index() % p] = true;
+    }
+    flags
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,12 +1007,11 @@ mod tests {
         faults: &FaultSet,
     ) -> SearchScratch {
         let cold = orch.search_scratch(req, faults);
-        assert_eq!(*patched.order, *cold.order);
-        assert_eq!(*patched.owner, *cold.owner);
-        assert_eq!(patched.effective, cold.effective);
-        assert_eq!(patched.fingerprint, cold.fingerprint);
-        assert_eq!(patched.segments.len(), cold.segments.len());
-        for (seg, (p, c)) in patched.segments.iter().zip(&cold.segments).enumerate() {
+        assert_eq!(patched.raw, cold.raw);
+        assert_eq!(patched.expanded, cold.expanded);
+        assert_eq!(patched.domains.len(), cold.domains.len());
+        let segments = patched.segments().zip(cold.segments());
+        for (seg, (p, c)) in segments.enumerate() {
             assert_eq!(p.raw, c.raw, "segment {seg} raw placement");
             assert_eq!(p.aligned, c.aligned, "segment {seg} aligned placement");
             assert_eq!(p.raw_nodes, c.raw_nodes, "segment {seg} raw count");
@@ -889,7 +1019,12 @@ mod tests {
                 p.aligned_nodes, c.aligned_nodes,
                 "segment {seg} aligned count"
             );
+            assert_eq!(p.summary, c.summary, "segment {seg} summary");
         }
+        assert_eq!(patched.segment_count(), cold.segment_count());
+        assert_eq!(patched.suffixes, cold.suffixes);
+        assert_eq!(patched.raw_prefix, cold.raw_prefix);
+        assert_eq!(patched.aligned_prefix, cold.aligned_prefix);
         cold
     }
 
@@ -1046,7 +1181,7 @@ mod tests {
         let (patched, stats) = orch.patch_scratch(&req, &scratch, &faults);
         assert_eq!(stats.domains_patched, 0);
         assert_eq!(stats.segments_reorchestrated, 0);
-        assert_eq!(stats.segments_reused, scratch.segments.len());
+        assert_eq!(stats.segments_reused, scratch.segment_count());
         assert_matches_cold_rebuild(&orch, &req, &patched, &faults);
     }
 
@@ -1062,7 +1197,7 @@ mod tests {
         let new = FaultSet::from_nodes((0..orch.fat_tree().nodes() / p).map(|t| NodeId(t * p)));
         let (patched, stats) = orch.patch_scratch(&req, &scratch, &new);
         assert_eq!(stats.domains_patched, orch.alignment_constraints());
-        assert_eq!(stats.segments_reorchestrated, scratch.segments.len());
+        assert_eq!(stats.segments_reorchestrated, scratch.segment_count());
         assert_eq!(stats.segments_reused, 0);
         assert_matches_cold_rebuild(&orch, &req, &patched, &new);
     }
@@ -1083,7 +1218,7 @@ mod tests {
         assert!(stats.segments_reorchestrated <= orch.deployment().sublines());
         assert_eq!(
             stats.segments_reused + stats.segments_reorchestrated,
-            scratch.segments.len()
+            scratch.segment_count()
         );
         assert_matches_cold_rebuild(&orch, &req, &patched, &bumped);
     }
@@ -1103,7 +1238,7 @@ mod tests {
         let (mid, _) = orch.patch_scratch(&req, &origin, &occupied);
         assert_matches_cold_rebuild(&orch, &req, &mid, &occupied);
         let (back, _) = orch.patch_scratch(&req, &mid, &base);
-        assert_eq!(back.fingerprint, origin.fingerprint);
+        assert_eq!(back.raw, origin.raw);
         assert_matches_cold_rebuild(&orch, &req, &back, &base);
     }
 
@@ -1142,27 +1277,34 @@ mod tests {
 
     #[test]
     fn counts_are_memoized_in_the_scratch() {
+        // Counts read only the scratch: two searches of different job sizes
+        // on one shared scratch see the materialized placements' counts.
         let orch = orchestrator();
         let faults = FaultSet::from_nodes((0..30).map(|i| NodeId(i * 13)));
-        let req = request(360);
-        let scratch = orch.search_scratch(&req, &faults);
-        assert!(scratch.placed.iter().all(|slot| slot.get().is_none()));
-        let (best, _) = orch.constraint_search(&req, &scratch, 1);
-        let filled = scratch
-            .placed
-            .iter()
-            .filter(|slot| slot.get().is_some())
-            .count();
-        assert!(filled > 0 && best.is_some());
-        // A second search of another job size on the same scratch only adds
-        // the counts the first one never took.
-        orch.constraint_search(&request(64), &scratch, 1);
-        for n in constraint_counts(&orch) {
-            if let Some(&count) = scratch.placed[n].get() {
+        let scratch = orch.search_scratch(&request(360), &faults);
+        for req in [request(360), request(64)] {
+            let (best, _) = orch.constraint_search(&req, &scratch, 1);
+            assert!(best.is_some(), "job {}", req.job_nodes);
+            for n in constraint_counts(&orch) {
                 let placed = orch.placement_with_constraints_cached(&req, &scratch, n);
-                assert_eq!(count, placed.nodes_placed(), "constraint count {n}");
+                assert_eq!(
+                    orch.placed_nodes(&req, &scratch, n),
+                    placed.nodes_placed(),
+                    "job {} constraint count {n}",
+                    req.job_nodes
+                );
             }
         }
+    }
+
+    /// Layouts `(nodes, nodes_per_tor, tors_per_domain)` with full racks and
+    /// domains, a partial last domain, and trailing partial racks.
+    const LAYOUTS: [(usize, usize, usize); 4] =
+        [(512, 16, 8), (600, 16, 4), (515, 4, 3), (97, 5, 2)];
+
+    fn layout(pick: usize) -> FatTreeOrchestrator {
+        let (nodes, per_tor, per_domain) = LAYOUTS[pick];
+        FatTreeOrchestrator::new(FatTree::new(nodes, per_tor, per_domain).unwrap()).unwrap()
     }
 
     proptest! {
@@ -1188,8 +1330,36 @@ mod tests {
             for n in constraint_counts(&orch) {
                 let oracle = orch.placement_with_constraints(&req, &faults, n).nodes_placed();
                 prop_assert_eq!(orch.placed_nodes(&req, &scratch, n), oracle, "n {}", n);
-                // A memo hit reads back the same count.
-                prop_assert_eq!(orch.placed_nodes(&req, &scratch, n), oracle, "n {}", n);
+            }
+        }
+
+        /// The O(p) count is the O(cluster) residual walk's count and the
+        /// uncached placement's node count, for every constraint count, on
+        /// layouts with partial racks and partial last domains, K from 1 to
+        /// 4, group sizes from 1 to 16 and fault ids past the cluster.
+        #[test]
+        fn summed_counts_match_the_residual_walk_and_uncached_placements(
+            pick in 0usize..LAYOUTS.len(),
+            fault_draws in proptest::collection::vec(0usize..10_000, 0..80),
+            k in 1usize..=4,
+            m_pick in 0usize..4,
+        ) {
+            let orch = layout(pick);
+            let nodes = orch.fat_tree().nodes();
+            let req = OrchestrationRequest {
+                job_nodes: 1,
+                nodes_per_group: [1usize, 3, 8, 16][m_pick],
+                k,
+            };
+            // Ids up to a quarter past the cluster.
+            let faults =
+                FaultSet::from_nodes(fault_draws.iter().map(|&d| NodeId(d % (nodes + nodes / 4))));
+            let scratch = orch.search_scratch(&req, &faults);
+            for n in constraint_counts(&orch) {
+                let count = orch.placed_nodes(&req, &scratch, n);
+                prop_assert_eq!(count, orch.placed_nodes_by_walk(&req, &scratch, n), "n {}", n);
+                let uncached = orch.placement_with_constraints(&req, &faults, n);
+                prop_assert_eq!(count, uncached.nodes_placed(), "n {}", n);
             }
         }
 
@@ -1221,32 +1391,30 @@ mod tests {
             }
         }
 
-        /// A patched scratch starts with an empty count memo: after a delta,
-        /// every count it reads equals the cold rebuild's, even when the old
-        /// scratch had every count memoized.
+        /// After a delta, every count a patched scratch gives equals the cold
+        /// rebuild's, on every layout.
         #[test]
         fn patched_counts_match_cold_rebuild_counts(
-            initial in proptest::collection::vec(0usize..600, 0..40),
-            delta in proptest::collection::vec((0usize..600, 0usize..2), 1..16),
+            pick in 0usize..LAYOUTS.len(),
+            initial in proptest::collection::vec(0usize..10_000, 0..40),
+            delta in proptest::collection::vec((0usize..10_000, 0usize..2), 1..16),
             k in 1usize..=3,
         ) {
-            let orch = orchestrator();
+            let orch = layout(pick);
+            let nodes = orch.fat_tree().nodes();
+            let id = |draw: usize| NodeId(draw % (nodes + nodes / 4));
             let req = OrchestrationRequest { job_nodes: 1, nodes_per_group: 8, k };
-            let mut live = FaultSet::from_nodes(initial.into_iter().map(NodeId));
+            let mut live = FaultSet::from_nodes(initial.into_iter().map(id));
             let old = orch.search_scratch(&req, &live);
-            for n in constraint_counts(&orch) {
-                orch.placed_nodes(&req, &old, n);
-            }
-            for (id, flag) in delta {
+            for (draw, flag) in delta {
                 if flag == 1 {
-                    live.add(NodeId(id));
+                    live.add(id(draw));
                 } else {
-                    live.remove(NodeId(id));
+                    live.remove(id(draw));
                 }
             }
             let (patched, _) = orch.patch_scratch(&req, &old, &live);
-            prop_assert!(patched.placed.iter().all(|slot| slot.get().is_none()));
-            let cold = orch.search_scratch(&req, &live);
+            let cold = assert_matches_cold_rebuild(&orch, &req, &patched, &live);
             for n in constraint_counts(&orch) {
                 prop_assert_eq!(
                     orch.placed_nodes(&req, &patched, n),
@@ -1286,7 +1454,7 @@ mod tests {
                 let (patched, stats) = orch.patch_scratch(&req, &scratch, &live);
                 prop_assert_eq!(
                     stats.segments_reused + stats.segments_reorchestrated,
-                    scratch.segments.len()
+                    scratch.segment_count()
                 );
                 let cold = assert_matches_cold_rebuild(&orch, &req, &patched, &live);
                 for threads in [1usize, 4] {

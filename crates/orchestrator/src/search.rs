@@ -14,9 +14,8 @@
 //!
 //! Because the orchestrator's per-search scratch depends only on
 //! `(k, nodes_per_group, faults)` — never on the probed job size — the whole
-//! job-size ladder shares **one** scratch, and with it the memoized
-//! placed-node count of every constraint count: the constraint searches of
-//! later job sizes mostly read counts the earlier ones took.
+//! job-size ladder shares **one** scratch: every constraint search of every
+//! job size counts against the same segment caches and run summaries.
 
 use crate::fat_tree::{FatTreeOrchestrator, OrchestrationRequest, SearchScratch};
 use crate::scheme::PlacementScheme;
@@ -103,8 +102,8 @@ fn max_job_search(
         })
     };
     let search = FatTreeOrchestrator::multisection(1, total_groups, threads, feasible);
-    // The winner's constraint search reads only memoized counts; its one
-    // materialization is the report's placement.
+    // The winner's constraint search only counts; its one materialization
+    // is the report's placement.
     let placement = search.best.zip(scratch).and_then(|(groups, scratch)| {
         orchestrator
             .orchestrate_with_scratch(&request(groups), scratch, 1)

@@ -13,9 +13,8 @@
 //!   fault state as a new epoch, readers pin whatever epoch is current and
 //!   never block each other (see `hbd_types::epoch` for the protocol);
 //! * [`PlacementService`] — answers batches of [`PlacementQuery`]s against
-//!   the current snapshot, amortising one memoized `SearchScratch` (and the
-//!   placed-node counts its searches memoize in it) per distinct
-//!   `(k, nodes_per_group)` key over the whole batch and fanning the
+//!   the current snapshot, amortising one memoized `SearchScratch` per
+//!   distinct `(k, nodes_per_group)` key over the whole batch and fanning the
 //!   per-query searches out with [`hbd_types::par`].
 //!
 //! # Determinism
@@ -300,12 +299,12 @@ pub struct BatchReport {
 /// The per-node constants of [`for_cluster`](Self::for_cluster) are
 /// **uncalibrated assumptions**, not fits to measured times. The `probes`
 /// they multiply count *ladder positions*, not placements materialized: a
-/// search probe reads a placed-node count memoized in the scratch (computed
-/// at most once per constraint count across every search sharing it), and
-/// a search materializes one placement, for its winning count. The
-/// per-probe terms therefore price work a probe mostly does not do;
-/// recalibrating them is a change of its own, because every modeled table
-/// moves with the constants.
+/// search probe is a placed-node count that folds one precomposed run
+/// summary per sub-line (O(p), a few hundred nanoseconds at 16,384 nodes),
+/// and a search materializes one placement, for its winning count. The
+/// per-probe term (`probe_us`, linear in cluster size) therefore overprices
+/// a probe by about two orders of magnitude; recalibrating it is a change of
+/// its own, because every modeled table moves with the constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeledLatency {
     /// Flat modeled dispatch overhead per query, in microseconds.

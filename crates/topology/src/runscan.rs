@@ -39,14 +39,32 @@ pub trait RunSink<T> {
 ///
 /// `k` is the hop reach: a run of *fewer than* `k` consecutive faulty items
 /// is bypassed by backup links; `k` or more sever the line.
-pub fn scan_khop_runs<T, I, F, S>(items: I, k: usize, mut faulty: F, sink: &mut S)
+pub fn scan_khop_runs<T, I, F, S>(items: I, k: usize, faulty: F, sink: &mut S)
+where
+    I: IntoIterator<Item = T>,
+    F: FnMut(&T) -> bool,
+    S: RunSink<T>,
+{
+    scan_khop_runs_from(0, items, k, faulty, sink);
+}
+
+/// [`scan_khop_runs`] resumed mid-line: `gap` is the number of consecutive
+/// faulty positions immediately before `items` (a gap of `k` or more has
+/// already been cut). Returns the trailing gap, so a line scanned in pieces
+/// reports exactly what one scan of the whole line would.
+pub fn scan_khop_runs_from<T, I, F, S>(
+    mut gap: usize,
+    items: I,
+    k: usize,
+    mut faulty: F,
+    sink: &mut S,
+) -> usize
 where
     I: IntoIterator<Item = T>,
     F: FnMut(&T) -> bool,
     S: RunSink<T>,
 {
     assert!(k > 0, "K must be at least 1");
-    let mut gap = 0usize;
     for item in items {
         if faulty(&item) {
             gap += 1;
@@ -58,6 +76,7 @@ where
             sink.healthy(item);
         }
     }
+    gap
 }
 
 /// A [`RunSink`] that only counts: healthy items per run, plus the first and
@@ -148,6 +167,19 @@ mod tests {
         counter.finish();
         assert_eq!(counter.first_healthy, Some(2));
         assert_eq!(counter.last_healthy, 7);
+    }
+
+    #[test]
+    fn a_line_scanned_in_pieces_matches_one_scan() {
+        let faulty = [3usize, 4, 9, 10, 11, 15];
+        let whole = runs(20, 2, &faulty);
+        for split in 0..=20 {
+            let mut counter = RunCounter::new();
+            let gap = scan_khop_runs_from(0, 0..split, 2, |i| faulty.contains(i), &mut counter);
+            scan_khop_runs_from(gap, split..20, 2, |i| faulty.contains(i), &mut counter);
+            counter.finish();
+            assert_eq!(counter.runs, whole, "split at {split}");
+        }
     }
 
     #[test]

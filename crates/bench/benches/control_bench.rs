@@ -27,6 +27,32 @@ fn bench_failover_planning(c: &mut Criterion) {
     group.finish();
 }
 
+/// One fault flip re-planned in place: node `nodes / 2` alternately fails
+/// and recovers on the `failover_plan` fault pattern, so each iteration
+/// re-walks the window of one flip and returns its directives.
+fn bench_failover_replan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("failover_replan");
+    group.sample_size(20);
+    for nodes in [256usize, 8192] {
+        let ring = KHopRing::new(nodes, 4, 3).unwrap();
+        let planner = FailoverPlanner::new(ring).unwrap();
+        let mut faults = FaultSet::from_nodes(
+            IidFaultModel::new(nodes, 0.05).sample_exact(&mut StdRng::seed_from_u64(1)),
+        );
+        let mut plan = planner.plan(&faults).unwrap();
+        let flip = [NodeId(nodes / 2)];
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
+            b.iter(|| {
+                if !faults.remove(flip[0]) {
+                    faults.add(flip[0]);
+                }
+                black_box(planner.replan(&mut plan, &faults, &flip).unwrap().len())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_plan_diff(c: &mut Criterion) {
     let ring = KHopRing::new(2048, 4, 3).unwrap();
     let planner = FailoverPlanner::new(ring).unwrap();
@@ -44,12 +70,13 @@ fn bench_plan_diff(c: &mut Criterion) {
 }
 
 /// One whole `control::sim` schedule on the `sim_seeds` deployment, at the
-/// sweep's 48 nodes and at the `control_sim` workload's 256, on the
-/// adversarial channel.
+/// sweep's 48 nodes, the `control_sim` workload's 256 and 1024, on the
+/// adversarial channel. The arrival rate grows with the ring, so the run
+/// time per arrival shows whether an event's cost grows with the ring.
 fn bench_control_sim_run(c: &mut Criterion) {
     let mut group = c.benchmark_group("control_sim_run");
     group.sample_size(10);
-    for nodes in [48usize, 256] {
+    for nodes in [48usize, 256, 1024] {
         let config = SimConfig {
             nodes,
             message_faults: MessageFaults::adversarial(),
@@ -80,6 +107,7 @@ fn bench_fault_injection(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_failover_planning,
+    bench_failover_replan,
     bench_plan_diff,
     bench_control_sim_run,
     bench_fault_injection

@@ -113,14 +113,7 @@ impl FabricManager {
             .bundles
             .get_mut(bundle)
             .ok_or_else(|| HbdError::unknown_entity(format!("bundle {bundle} on {}", self.node)))?;
-        let already = matches!(
-            (b.state(), action),
-            (BundleState::ActivePrimary, BundleAction::ActivatePrimary)
-                | (BundleState::ActiveBackup, BundleAction::ActivateBackup)
-                | (BundleState::Loopback, BundleAction::Loopback)
-                | (BundleState::Idle, BundleAction::Idle)
-        );
-        if already {
+        if realises(b.state(), action) {
             return Ok(Microseconds::ZERO);
         }
         let latency = match action {
@@ -166,15 +159,6 @@ impl FabricManager {
         Ok(CommandOutcome::Applied(self.apply(bundle, action)?))
     }
 
-    /// The newest command id executed on `bundle` (0 when no versioned
-    /// command has been executed yet).
-    pub fn last_command_id(&self, bundle: usize) -> Result<u64> {
-        self.last_command_ids
-            .get(bundle)
-            .copied()
-            .ok_or_else(|| HbdError::unknown_entity(format!("bundle {bundle} on {}", self.node)))
-    }
-
     /// Deliveries rejected by the version gate so far.
     pub fn stale_commands(&self) -> u64 {
         self.stale_commands
@@ -189,6 +173,17 @@ impl FabricManager {
         }
         Ok(slowest)
     }
+}
+
+/// Whether a bundle in `state` carries out `action`.
+pub(crate) fn realises(state: BundleState, action: BundleAction) -> bool {
+    matches!(
+        (state, action),
+        (BundleState::ActivePrimary, BundleAction::ActivatePrimary)
+            | (BundleState::ActiveBackup, BundleAction::ActivateBackup)
+            | (BundleState::Loopback, BundleAction::Loopback)
+            | (BundleState::Idle, BundleAction::Idle)
+    )
 }
 
 #[cfg(test)]
@@ -249,15 +244,10 @@ mod tests {
         // Build a directive through the plan API surface: bundle 0 and 1 carry
         // the distance-1 ring links, bundle 2 stays idle.
         let plan = {
-            use crate::plan::RingPlan;
-            use crate::wiring::Wiring;
-            use topology::RingSegment;
-            let wiring = Wiring::new(9, 3, true).unwrap();
-            let segment = RingSegment {
-                nodes: (0..9).map(NodeId).collect(),
-                wraps: false,
-            };
-            RingPlan::for_segments(&wiring, &[segment]).unwrap()
+            use crate::failover::FailoverPlanner;
+            use topology::{FaultSet, KHopRing};
+            let planner = FailoverPlanner::new(KHopRing::new(9, 4, 3).unwrap()).unwrap();
+            planner.plan(&FaultSet::new()).unwrap()
         };
         let directive = plan.node(NodeId(2));
         let slowest = fm.apply_directive(&directive).unwrap();

@@ -124,7 +124,7 @@ impl ClusterManager {
             timeline: Timeline::new(),
             clock: Seconds::ZERO,
         };
-        manager.converge(Seconds::ZERO)?;
+        manager.converge(Seconds::ZERO, &[])?;
         Ok(manager)
     }
 
@@ -182,7 +182,7 @@ impl ClusterManager {
             at + self.latencies.detection,
             ControlEventKind::FaultDetected { node },
         );
-        self.recover(at)
+        self.recover(node, at)
     }
 
     /// Handles a node repair observed at time `at` (stale times are clamped
@@ -197,7 +197,7 @@ impl ClusterManager {
             at + self.latencies.detection,
             ControlEventKind::RepairDetected { node },
         );
-        self.recover(at)
+        self.recover(node, at)
     }
 
     fn check_node(&self, node: NodeId) -> Result<()> {
@@ -229,9 +229,9 @@ impl ClusterManager {
         }
     }
 
-    fn recover(&mut self, event_at: Seconds) -> Result<RecoveryReport> {
+    fn recover(&mut self, node: NodeId, event_at: Seconds) -> Result<RecoveryReport> {
         let plan_at = event_at + self.latencies.detection + self.latencies.planning;
-        let (commands, nodes_reconfigured, hardware_latency) = self.converge(plan_at)?;
+        let (commands, nodes_reconfigured, hardware_latency) = self.converge(plan_at, &[node])?;
         // A zero-command diff means the fabric was already converged (e.g. an
         // isolated node going faulty changes the plan's node set but no
         // surviving directive): nothing is dispatched and no hardware
@@ -242,7 +242,7 @@ impl ClusterManager {
         } else {
             self.latencies.software_total() + hardware_latency.to_seconds()
         };
-        let segments = self.planner.segments(&self.faults).len();
+        let segments = self.planner.ring().segment_count(&self.faults);
         let report = RecoveryReport {
             event_at,
             commands,
@@ -260,11 +260,17 @@ impl ClusterManager {
         Ok(report)
     }
 
-    /// Computes the target plan, diffs it against the deployed plan, pushes the
-    /// commands and returns `(commands, nodes touched, slowest switch)`.
-    fn converge(&mut self, at: Seconds) -> Result<(usize, usize, Microseconds)> {
-        let target = self.planner.plan(&self.faults)?;
-        let commands = self.deployed.diff(&target);
+    /// Re-plans the deployed plan in place around the `changed` nodes (the
+    /// whole ring while nothing is deployed yet), pushes the diff as commands
+    /// and returns `(commands, nodes touched, slowest switch)`.
+    fn converge(
+        &mut self,
+        at: Seconds,
+        changed: &[NodeId],
+    ) -> Result<(usize, usize, Microseconds)> {
+        let commands = self
+            .planner
+            .replan(&mut self.deployed, &self.faults, changed)?;
         self.timeline.push(
             at,
             ControlEventKind::PlanComputed {
@@ -294,7 +300,6 @@ impl ClusterManager {
                 },
             );
         }
-        self.deployed = target;
         Ok((commands.len(), touched.len(), slowest))
     }
 }

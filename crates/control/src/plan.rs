@@ -20,12 +20,54 @@
 //! manager hands out command ids in directive order, and the control-plane
 //! simulator ([`crate::sim`]) draws its message-fault randomness in command-id
 //! order, so reordering the directives would change every simulated timeline.
+//!
+//! **Realisation walk.** A plan is written by one left-to-right walk over the
+//! node positions, the same walk whether it builds a whole plan
+//! ([`crate::FailoverPlanner::plan`]) or re-plans a window
+//! ([`crate::FailoverPlanner::replan`]). It counts faulty positions since the
+//! last healthy node like the run scan of `topology::runscan` (`K` of them cut
+//! the chain). At each healthy node it decides the edge from the previous
+//! healthy node and writes that node's whole row from two ports: its *back*
+//! port (towards its chain predecessor, `None` for a chain head) and its
+//! *forward* port (`None` for a chain tail). A chain end loops back on its
+//! lowest free bundle. For odd K the last bundle carries both `+K` and `−K`,
+//! so a node whose back port is `−K` cannot link forward on `+K`: the chain is
+//! cut there (the rule of the segment realiser this walk replaced). The state
+//! the walk carries from one position to the next is therefore just the gap
+//! count plus the open node's back port. When the healthy nodes span the
+//! deployment boundary ([`topology::KHopRing::spans_boundary`]) the walk runs
+//! on from the last node into the first; otherwise the boundary is a cut.
+//!
+//! **The window rule, and why it is exact.** Let a set of nodes flip. Rows
+//! before a flipped node `x` can only change at the last healthy node within
+//! `K` positions before `x`: that is the only node whose forward edge can
+//! reach `x`, and every earlier row depends on nothing at or after `x`. The
+//! walk therefore starts there, reading that node's back port from its
+//! current row. After the last flipped node, the walk compares its state at
+//! every healthy node `q` with the state the current rows already hold at
+//! `q` (the back port in `q`'s row). Both walks see the same faults from `q`
+//! on, so once the two states agree, every later row is the one already
+//! written and the walk stops. Flips close together share one window. Until
+//! the states agree the walk keeps writing, which is exactly the span an odd-K
+//! cut can propagate. One more source of change lies at the ring ends: the
+//! wraparound merge of `healthy_segments` links the last healthy node to the
+//! first only while the healthy nodes span the boundary. When that status
+//! flips (the segment count crosses 1 ↔ ≥ 2, or the boundary gap crosses K),
+//! the boundary is re-walked like a flipped node: from the last healthy node
+//! before node 0, and for a line also to its end. A spanning walk may run
+//! around the ring. It still ends: after all flipped nodes, the next `K`-fault
+//! run (or, on a fault-free ring, the next node) forces the state the rows
+//! already hold. The rows it leaves untouched are consistent with the state
+//! where it stopped. So every row of the result equals the fresh plan's, and
+//! the directives are computed only over the rewritten rows, in the contract
+//! order above. The `failover` proptests check both against
+//! [`crate::FailoverPlanner::plan`] and [`RingPlan::diff`].
 
 use crate::wiring::{FabricPort, Wiring};
 use hbd_types::{HbdError, NodeId, Result};
 use ocstrx::PathId;
 use serde::{de, value::Value, Deserialize, Serialize};
-use topology::RingSegment;
+use topology::FaultSet;
 
 /// What a fabric bundle should be doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -115,165 +157,12 @@ impl RingPlan {
         Self::default()
     }
 
-    /// Builds the plan that realises the given healthy segments on the given
-    /// wiring. Faulty nodes receive no directives.
-    ///
-    /// Each segment becomes one GPU-level ring: its interior edges activate the
-    /// matching external ports on both ends, and the two boundary nodes close
-    /// the ring via loopback on their outward-facing bundle. A segment that
-    /// covers the entire closed deployment is realised as a cycle (no loopback
-    /// needed). Single-node segments simply loop back on bundle 0.
-    ///
-    /// A segment naming a node outside the wiring is an
-    /// [`HbdError::invalid_config`].
-    pub fn for_segments(wiring: &Wiring, segments: &[RingSegment]) -> Result<Self> {
-        let k = wiring.k();
-        let mut plan = RingPlan {
-            k,
-            slots: vec![None; wiring.nodes() * k],
-        };
-        for segment in segments {
-            plan.add_segment(wiring, segment)?;
-        }
-        // Every fabric bundle not claimed by a segment goes idle explicitly, so
-        // diffs against older plans release stale activations.
-        for node in plan.slots.chunks_mut(k.max(1)) {
-            if node.iter().any(Option::is_some) {
-                for slot in node {
-                    slot.get_or_insert(BundleAction::Idle);
-                }
-            }
-        }
-        Ok(plan)
-    }
-
-    fn add_segment(&mut self, wiring: &Wiring, segment: &RingSegment) -> Result<()> {
-        let nodes = &segment.nodes;
-        if let Some(node) = nodes.iter().find(|n| n.index() >= wiring.nodes()) {
-            return Err(HbdError::invalid_config(format!(
-                "segment node {node} is outside the {}-node wiring",
-                wiring.nodes()
-            )));
-        }
-        if nodes.is_empty() {
-            return Ok(());
-        }
-        let full_cycle = wiring.is_closed() && nodes.len() == wiring.nodes();
-        if full_cycle {
-            // A fully-healthy closed deployment runs as one physical cycle: no
-            // loopback endpoints are needed.
-            for i in 0..nodes.len() {
-                self.connect(wiring, nodes[i], nodes[(i + 1) % nodes.len()])?;
-            }
-            return Ok(());
-        }
-        // A chain node in the interior needs one backward and one forward link
-        // active at the same time. For odd K the wiring shares one bundle
-        // between the +K and −K fibers, so a node squeezed between K−1
-        // consecutive faults on *both* sides cannot hold both links: the chain
-        // is cut at that node (it becomes a ring endpoint instead), trading a
-        // little capacity for a realisable plan.
-        //
-        // One pass over the segment's edges: `back` is the port of `nodes[i]`
-        // towards `nodes[i - 1]` when that edge is active, i.e. when
-        // `nodes[i]` is interior to the current chain `nodes[start..]`.
-        let mut start = 0usize;
-        let mut back: Option<FabricPort> = None;
-        for i in 0..nodes.len() - 1 {
-            let forward = wiring.port_towards(nodes[i], nodes[i + 1]);
-            match (back, forward) {
-                (Some(b), Some(f)) if b.bundle == f.bundle => {
-                    // Cut: `nodes[start..=i]` is a finished chain and the
-                    // edge to `nodes[i + 1]` stays dark.
-                    self.close_chain(&nodes[start..=i])?;
-                    start = i + 1;
-                    back = None;
-                }
-                _ => back = Some(self.link(wiring, nodes[i], nodes[i + 1], forward)?),
-            }
-        }
-        self.close_chain(&nodes[start..])
-    }
-
-    /// Closes the GPU-level ring of a chain whose edges are active: the two
-    /// boundary nodes switch their bundle facing *away* from the chain to
-    /// loopback. A single-node chain loops back on its first free bundle.
-    fn close_chain(&mut self, chain: &[NodeId]) -> Result<()> {
-        let ends: &[NodeId] = match chain {
-            [single] => &[*single],
-            _ => &[chain[0], chain[chain.len() - 1]],
-        };
-        for &end in ends {
-            let bundle = self.free_bundle(end);
-            self.set(end, bundle, BundleAction::Loopback)?;
-        }
-        Ok(())
-    }
-
-    /// Activates the port pair joining two adjacent chain members.
-    fn connect(&mut self, wiring: &Wiring, a: NodeId, b: NodeId) -> Result<()> {
-        self.link(wiring, a, b, wiring.port_towards(a, b)).map(drop)
-    }
-
-    /// [`RingPlan::connect`] given `a`'s port towards `b` (`None` if `b` is
-    /// out of reach); returns `b`'s port towards `a`.
-    fn link(
-        &mut self,
-        wiring: &Wiring,
-        a: NodeId,
-        b: NodeId,
-        port_a: Option<FabricPort>,
-    ) -> Result<FabricPort> {
-        let port_a = port_a.ok_or_else(|| {
-            HbdError::infeasible(format!(
-                "segment edge {a} -> {b} exceeds the {}-hop reach of the wiring",
-                wiring.k()
-            ))
-        })?;
-        let port_b = wiring
-            .port_towards(b, a)
-            .expect("reverse port exists whenever the forward port does");
-        self.set(a, port_a.bundle, action_for(port_a))?;
-        self.set(b, port_b.bundle, action_for(port_b))?;
-        Ok(port_b)
-    }
-
     /// The slots of one node; empty if the node lies outside the plan.
-    fn node_slots(&self, node: NodeId) -> &[Option<BundleAction>] {
+    pub(crate) fn node_slots(&self, node: NodeId) -> &[Option<BundleAction>] {
         let start = node.index().saturating_mul(self.k);
         self.slots
             .get(start..start.saturating_add(self.k))
             .unwrap_or(&[])
-    }
-
-    /// The lowest-indexed bundle of `node` not yet claimed by this plan.
-    fn free_bundle(&self, node: NodeId) -> usize {
-        self.node_slots(node)
-            .iter()
-            .position(Option::is_none)
-            .unwrap_or(0)
-    }
-
-    fn set(&mut self, node: NodeId, bundle: usize, action: BundleAction) -> Result<()> {
-        // Only a wiring deserialised with no bundles leaves `bundle` out of
-        // range here: segment nodes are checked against the wiring first.
-        let slot = match self.slots.get_mut(node.index() * self.k + bundle) {
-            Some(slot) if bundle < self.k => slot,
-            _ => {
-                return Err(HbdError::invalid_config(format!(
-                    "{node} has no fabric bundle {bundle}"
-                )))
-            }
-        };
-        if let Some(existing) = *slot {
-            if existing != action && existing.is_active() && action.is_active() {
-                return Err(HbdError::invalid_operation(format!(
-                    "bundle {bundle} of {node} assigned two conflicting active roles"
-                )));
-            }
-        }
-        *slot = Some(action);
-        Ok(())
     }
 
     /// The action the plan assigns to one (node, bundle), if it mentions it.
@@ -347,6 +236,414 @@ impl RingPlan {
     }
 }
 
+/// The realisation walk: one left-to-right pass over positions that writes
+/// whole plan rows (see the module docs). Positions are absolute: when the
+/// healthy nodes span the deployment boundary the walk runs on past the last
+/// node into the first (`node = position mod n`); otherwise the boundary
+/// ends the walk like a cut.
+struct Walk<'a> {
+    wiring: &'a Wiring,
+    faults: &'a FaultSet,
+    /// Whether the walk runs on across the deployment boundary.
+    spans: bool,
+    /// Rows overwritten so far with their content before the first
+    /// overwrite, when the caller wants the directive diff.
+    log: Option<DiffLog>,
+}
+
+/// The last healthy node whose forward edge is still undecided.
+#[derive(Clone, Copy)]
+struct Open {
+    node: usize,
+    /// Its absolute walk position.
+    at: usize,
+    /// Its active port towards its chain predecessor (`None`: chain head).
+    back: Option<FabricPort>,
+}
+
+/// Walk state between two positions: the run-scan gap plus the odd-K `back`
+/// port of the open node — all a position needs from the walk before it.
+#[derive(Clone, Copy)]
+struct Cursor {
+    open: Option<Open>,
+    /// Faulty positions since the last healthy one; the walk cuts at `K`.
+    gap: usize,
+}
+
+/// Rows a windowed walk overwrote, each with its content before the first
+/// overwrite, so the directive diff touches only those rows.
+#[derive(Default)]
+struct DiffLog {
+    /// (node, offset of its saved row in `saved`), in overwrite order.
+    rows: Vec<(usize, usize)>,
+    saved: Vec<Option<BundleAction>>,
+}
+
+impl DiffLog {
+    /// `old.diff(new)` for a `new` plan that differs from `old` only in the
+    /// logged rows: node-ascending, then bundle-ascending.
+    fn directives(mut self, new: &RingPlan) -> Vec<PortDirective> {
+        let k = new.k;
+        // Stable: a node overwritten twice keeps its original row first.
+        self.rows.sort_by_key(|&(node, _)| node);
+        self.rows.dedup_by_key(|&mut (node, _)| node);
+        let mut out = Vec::new();
+        for (node, at) in self.rows {
+            let old = &self.saved[at..at + k];
+            let row = &new.slots[node * k..(node + 1) * k];
+            for (bundle, (&was, &now)) in old.iter().zip(row).enumerate() {
+                if let Some(action) = now.filter(|&a| was.unwrap_or(BundleAction::Idle) != a) {
+                    out.push(PortDirective {
+                        node: NodeId(node),
+                        bundle,
+                        action,
+                    });
+                }
+            }
+        }
+        out
+    }
+}
+
+impl RingPlan {
+    /// A plan of `nodes × k` slots that mentions no node.
+    fn blank(nodes: usize, k: usize) -> Self {
+        RingPlan {
+            k,
+            slots: vec![None; nodes * k],
+        }
+    }
+
+    /// Realises the whole plan for `faults` on `wiring`. `spans` says
+    /// whether the healthy nodes stay linked across the deployment boundary
+    /// ([`topology::KHopRing::spans_boundary`]).
+    pub(crate) fn realise(wiring: &Wiring, faults: &FaultSet, spans: bool) -> Result<Self> {
+        check_bundles(wiring)?;
+        let mut plan = RingPlan::blank(wiring.nodes(), wiring.k());
+        let mut walk = Walk {
+            wiring,
+            faults,
+            spans,
+            log: None,
+        };
+        plan.walk_all(&mut walk)?;
+        Ok(plan)
+    }
+
+    /// Rewrites in place only the rows that can differ between the plan of
+    /// the fault set before `changed` flipped (which `self` must be) and the
+    /// plan of `faults`, and returns exactly `old.diff(&new)`. A plan that
+    /// mentions no node but does not fit `wiring` (e.g.
+    /// [`RingPlan::empty`]) counts as the plan of an all-faulty deployment.
+    pub(crate) fn realise_changes(
+        &mut self,
+        wiring: &Wiring,
+        faults: &FaultSet,
+        spans: bool,
+        changed: &[NodeId],
+    ) -> Result<Vec<PortDirective>> {
+        check_bundles(wiring)?;
+        let (n, k) = (wiring.nodes(), wiring.k());
+        if let Some(node) = changed.iter().find(|c| c.index() >= n) {
+            return Err(HbdError::invalid_config(format!(
+                "changed node {node} is outside the {n}-node wiring"
+            )));
+        }
+        let mut walk = Walk {
+            wiring,
+            faults,
+            spans,
+            log: Some(DiffLog::default()),
+        };
+        if self.k != k || self.slots.len() != n * k {
+            if !self.is_empty() {
+                return Err(HbdError::invalid_config(format!(
+                    "plan of {} slots at k = {} does not fit the {n}-node, k = {k} wiring",
+                    self.slots.len(),
+                    self.k
+                )));
+            }
+            *self = RingPlan::blank(n, k);
+            self.walk_all(&mut walk)?;
+        } else {
+            let mut dirty: Vec<usize> = changed.iter().map(|c| c.index()).collect();
+            // The boundary rule: when the wraparound link appears or goes,
+            // the rows around both deployment ends change with it.
+            if spans != self.spans_boundary(wiring) {
+                dirty.push(0);
+                if !spans {
+                    dirty.push(n);
+                }
+            }
+            dirty.sort_unstable();
+            dirty.dedup();
+            self.walk_windows(&mut walk, &dirty)?;
+        }
+        Ok(walk.log.take().expect("logging walk").directives(self))
+    }
+
+    /// Whether this plan links its last mentioned node forward across the
+    /// deployment boundary. A spanning ring whose wraparound edge is cut by
+    /// the odd-K rule realises exactly the rows of a non-spanning one, so
+    /// the rows alone decide which walk they are consistent with.
+    fn spans_boundary(&self, wiring: &Wiring) -> bool {
+        let last = self
+            .slots
+            .chunks(self.k)
+            .rev()
+            .find(|row| row.iter().any(Option::is_some));
+        wiring.is_closed()
+            && last.is_some_and(|row| {
+                row.iter().enumerate().any(|(bundle, action)| {
+                    port_of(bundle, *action)
+                        .and_then(|port| wiring.port_offset(port))
+                        .is_some_and(|offset| offset > 0)
+                })
+            })
+    }
+
+    /// The active port of `node` towards its chain predecessor in the
+    /// current rows (`None` for a chain head or an unmentioned node).
+    fn back_port(&self, wiring: &Wiring, node: usize) -> Option<FabricPort> {
+        self.slots[node * self.k..(node + 1) * self.k]
+            .iter()
+            .enumerate()
+            .filter_map(|(bundle, action)| port_of(bundle, *action))
+            .find(|&port| wiring.port_offset(port).is_some_and(|offset| offset < 0))
+    }
+
+    /// The whole-line walk: from node 0 to the end when the boundary cuts,
+    /// otherwise one full lap from an anchor (the first internal `K`-fault
+    /// run, or node 0 of a fault-free ring) and on until the state repeats.
+    fn walk_all(&mut self, walk: &mut Walk) -> Result<()> {
+        let n = walk.wiring.nodes();
+        let start = if walk.spans {
+            let first = walk.faults.faulty_run(NodeId(0));
+            let anchor = walk
+                .faults
+                .long_run_starts(first + 1, n, walk.wiring.k())
+                .next()
+                .map_or(0, NodeId::index);
+            n + anchor
+        } else {
+            0
+        };
+        let fresh = Cursor { open: None, gap: 0 };
+        let must_pass = if walk.spans { start + n - 1 } else { n };
+        self.walk(walk, start, fresh, must_pass, &[], &mut 0)
+    }
+
+    /// One window per group of nearby `dirty` positions (sorted node
+    /// indices; `n` marks the end of a line whose boundary cuts).
+    fn walk_windows(&mut self, walk: &mut Walk, dirty: &[usize]) -> Result<()> {
+        let n = walk.wiring.nodes();
+        let order: Vec<usize> = if walk.spans && !dirty.is_empty() {
+            // Start after the widest circular gap between dirty positions so
+            // no window's look-back reads a row another window will change;
+            // absolute positions then rise monotonically from `n`.
+            let m = dirty.len();
+            let first = (0..m)
+                .max_by_key(|&i| (dirty[i] + n - dirty[(i + m - 1) % m]) % n)
+                .unwrap_or(0);
+            (0..m)
+                .map(|i| n + dirty[(first + i) % m] + if first + i >= m { n } else { 0 })
+                .collect()
+        } else {
+            dirty.to_vec()
+        };
+        let mut next = 0;
+        while next < order.len() {
+            let x = order[next];
+            let (start, cursor) = self.look_back(walk, x);
+            self.walk(walk, start, cursor, x, &order, &mut next)?;
+        }
+        Ok(())
+    }
+
+    /// The walk state just before position `x`, read from the current rows:
+    /// the last healthy node within `K` positions before `x` with its back
+    /// port, or a cut if `K` faulty positions precede `x`. Returns where to
+    /// resume (just after that node) and the state there.
+    fn look_back(&self, walk: &Walk, x: usize) -> (usize, Cursor) {
+        let (n, k) = (walk.wiring.nodes(), walk.wiring.k());
+        for j in 1..=k {
+            if !walk.spans && j > x {
+                // The line starts here: `x` leading faulty positions.
+                return (x, Cursor { open: None, gap: x });
+            }
+            let at = x - j;
+            let node = at % n;
+            if !walk.faults.is_faulty(NodeId(node)) {
+                let back = self.back_port(walk.wiring, node);
+                let open = Open { node, at, back };
+                return (
+                    at + 1,
+                    Cursor {
+                        open: Some(open),
+                        gap: 0,
+                    },
+                );
+            }
+        }
+        (x, Cursor { open: None, gap: k })
+    }
+
+    /// Walks from absolute position `t` in state `cursor`, writing every row
+    /// it decides, until the state at a healthy node past `must_pass` equals
+    /// the state the current rows already hold there (the rows from that
+    /// node on are then unchanged), or the line ends. Dirty positions of
+    /// `order` from index `next` that the walk reaches join its window.
+    fn walk(
+        &mut self,
+        walk: &mut Walk,
+        mut t: usize,
+        mut cursor: Cursor,
+        mut must_pass: usize,
+        order: &[usize],
+        next: &mut usize,
+    ) -> Result<()> {
+        let (n, k) = (walk.wiring.nodes(), walk.wiring.k());
+        // A spanning walk passes every dirty position within one lap and
+        // resynchronises within the next (see the module docs): the bound
+        // only guards that invariant.
+        let limit = t + 3 * n + 2 * k;
+        loop {
+            while *next < order.len() && order[*next] <= t {
+                must_pass = must_pass.max(order[*next]);
+                *next += 1;
+            }
+            if !walk.spans && t == n {
+                if let Some(open) = cursor.open {
+                    self.write_row(walk, open.node, open.back, None);
+                }
+                return Ok(());
+            }
+            if t == limit {
+                return Err(HbdError::invalid_operation(
+                    "ring plan walk did not resynchronise",
+                ));
+            }
+            let node = t % n;
+            if walk.faults.is_faulty(NodeId(node)) {
+                self.write_slots(walk, node, |_| None);
+                cursor.gap += 1;
+                if cursor.gap == k {
+                    if let Some(open) = cursor.open.take() {
+                        self.write_row(walk, open.node, open.back, None);
+                    }
+                }
+            } else {
+                let back = match cursor.open {
+                    Some(open) => self.decide_edge(walk, open, t)?,
+                    None => None,
+                };
+                if t > must_pass && back == self.back_port(walk.wiring, node) {
+                    return Ok(());
+                }
+                let open = Open { node, at: t, back };
+                cursor = Cursor {
+                    open: Some(open),
+                    gap: 0,
+                };
+            }
+            t += 1;
+        }
+    }
+
+    /// Decides the edge from the open node to the healthy node at position
+    /// `t`, writes the open node's row, and returns the new node's back
+    /// port. For odd K the last bundle carries both `+K` and `−K`: a node
+    /// whose back link already uses it cannot also link forward on it, so
+    /// the chain is cut there and the new node starts a chain of its own.
+    fn decide_edge(&mut self, walk: &mut Walk, open: Open, t: usize) -> Result<Option<FabricPort>> {
+        let reach = |offset: isize| {
+            walk.wiring.port_for_offset(offset).ok_or_else(|| {
+                HbdError::infeasible(format!(
+                    "edge of {offset} hops exceeds the {}-hop reach of the wiring",
+                    walk.wiring.k()
+                ))
+            })
+        };
+        let d = (t - open.at) as isize;
+        let forward = reach(d)?;
+        if open.back.is_some_and(|b| b.bundle == forward.bundle) {
+            self.write_row(walk, open.node, open.back, None);
+            return Ok(None);
+        }
+        self.write_row(walk, open.node, open.back, Some(forward));
+        reach(-d).map(Some)
+    }
+
+    /// Writes the row of a healthy node from its back and forward ports: a
+    /// chain end (either port missing) loops back on its lowest free bundle,
+    /// every other bundle goes idle explicitly so diffs release stale
+    /// activations.
+    fn write_row(
+        &mut self,
+        walk: &mut Walk,
+        node: usize,
+        back: Option<FabricPort>,
+        forward: Option<FabricPort>,
+    ) {
+        let used = |bundle| [back, forward].iter().flatten().any(|p| p.bundle == bundle);
+        let loopback = if back.is_some() && forward.is_some() {
+            None
+        } else {
+            (0..self.k).find(|&b| !used(b))
+        };
+        self.write_slots(walk, node, |bundle| {
+            let port = [back, forward]
+                .into_iter()
+                .flatten()
+                .find(|p| p.bundle == bundle);
+            Some(match port {
+                Some(port) => action_for(port),
+                None if loopback == Some(bundle) => BundleAction::Loopback,
+                None => BundleAction::Idle,
+            })
+        });
+    }
+
+    /// Sets every slot of `node` to `slot(bundle)`, logging the old row
+    /// first if anything changes.
+    fn write_slots(
+        &mut self,
+        walk: &mut Walk,
+        node: usize,
+        slot: impl Fn(usize) -> Option<BundleAction>,
+    ) {
+        let row = &mut self.slots[node * self.k..(node + 1) * self.k];
+        if row.iter().enumerate().all(|(b, &s)| s == slot(b)) {
+            return;
+        }
+        if let Some(log) = walk.log.as_mut() {
+            log.rows.push((node, log.saved.len()));
+            log.saved.extend_from_slice(row);
+        }
+        for (b, s) in row.iter_mut().enumerate() {
+            *s = slot(b);
+        }
+    }
+}
+
+/// A wiring deserialised with no bundles cannot carry a plan.
+fn check_bundles(wiring: &Wiring) -> Result<()> {
+    if wiring.k() == 0 {
+        return Err(HbdError::invalid_config("wiring has no fabric bundles"));
+    }
+    Ok(())
+}
+
+/// The external port an active slot action selects, if any.
+fn port_of(bundle: usize, action: Option<BundleAction>) -> Option<FabricPort> {
+    let path = match action? {
+        BundleAction::ActivatePrimary => PathId::External1,
+        BundleAction::ActivateBackup => PathId::External2,
+        BundleAction::Loopback | BundleAction::Idle => return None,
+    };
+    Some(FabricPort { bundle, path })
+}
+
 /// Plans are equal when they hold the same directives: the empty plan equals
 /// any plan that mentions no node, whatever its size.
 impl PartialEq for RingPlan {
@@ -395,7 +692,7 @@ mod tests {
     use super::oracle::MapPlan;
     use super::*;
     use proptest::prelude::*;
-    use topology::{FaultSet, KHopRing};
+    use topology::{KHopRing, RingSegment};
 
     fn plan_for(nodes: usize, k: usize, faults: &[usize]) -> (KHopRing, RingPlan) {
         let ring = KHopRing::new(nodes, 4, k).unwrap();

@@ -33,19 +33,37 @@
 //! [`FailoverPlanner::plan`] for the final fault set — i.e. the deployed
 //! configuration converges to exactly what a reliable synchronous control
 //! plane would have produced, under *any* schedule of message faults.
+//!
+//! **What an event costs.** An event costs what it changes, not the size of
+//! the ring:
+//!
+//! * A `PlanReady` re-plans the intended plan in place, only in the window
+//!   around the nodes detected since the previous plan
+//!   ([`FailoverPlanner::replan`]). It gets back exactly the diff a full
+//!   re-plan would give.
+//! * Command state is dense: commands live in a `Vec` indexed by `id − 1`,
+//!   and the newest command per (node, bundle) in a flat `Vec`.
+//! * The convergence check reads one total. The simulator keeps, per node,
+//!   the number of planned bundles its fabric does not realise. It
+//!   re-counts a node only when something can change that number: a fabric
+//!   apply, a change to the node's plan row, a detected fault, a reboot and
+//!   its reconciliation.
+//!
+//! Debug builds cross-check the total against the full scan on every check
+//! and after every plan (`debug_assert_eq!`), so `cargo test` runs the
+//! oracle at every mid-run check. The end-of-run check in `finish` always scans the whole fabric
+//! against a freshly computed plan.
 
-use crate::fabric::{CommandOutcome, FabricManager};
+use crate::fabric::{realises, CommandOutcome, FabricManager};
 use crate::failover::FailoverPlanner;
 use crate::manager::ControlLatencies;
 use crate::plan::{BundleAction, PortDirective, RingPlan};
 use crate::timeline::{ControlEventKind, Timeline};
 use fault::{generate_events, GeneratorConfig, NodeEvent, NodeEventKind};
 use hbd_types::{stream_seed, EventQueue, HbdError, NodeId, Result, Seconds, SimClock};
-use ocstrx::BundleState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 use topology::{FaultSet, KHopRing};
 
 /// RNG stream indices, one per independent randomness channel.
@@ -289,8 +307,9 @@ pub fn run(config: &SimConfig, master_seed: u64) -> Result<SimReport> {
 /// Runs one simulation over an explicit fault/repair edge stream (e.g. a
 /// replayed production trace via [`fault::trace_events`]), with the message
 /// faults still seeded from channels 1–4 of `master_seed`. The edges must
-/// alternate fault/repair per node in time order, as both adapters in
-/// [`fault::sim_events`] guarantee.
+/// name nodes of the ring and alternate fault/repair per node in detection
+/// order, as both adapters in [`fault::sim_events`] guarantee; any other
+/// stream is an [`HbdError::InvalidConfig`].
 pub fn run_with_events(
     config: &SimConfig,
     master_seed: u64,
@@ -299,6 +318,7 @@ pub fn run_with_events(
     config.validate()?;
     let ring = KHopRing::new(config.nodes, config.gpus_per_node, config.k)?;
     let planner = FailoverPlanner::new(ring)?;
+    validate_arrivals(config, arrivals)?;
     let fabrics = (0..config.nodes)
         .map(|n| FabricManager::new(NodeId(n), config.k))
         .collect::<Result<Vec<_>>>()?;
@@ -308,15 +328,19 @@ pub fn run_with_events(
         planner,
         fabrics,
         faults: FaultSet::new(),
+        changed: Vec::new(),
         intended: RingPlan::empty(),
+        mismatches: vec![0; config.nodes],
+        mismatch_total: 0,
         queue: EventQueue::new(),
         clock: SimClock::new(),
         timeline: Timeline::new(),
-        pending: BTreeMap::new(),
+        pending: Vec::new(),
         issued_to: vec![Vec::new(); config.nodes],
-        latest_cmd: BTreeMap::new(),
+        latest_cmd: vec![0; config.nodes * config.k],
         node_epoch: vec![0; config.nodes],
-        rebooted_dirty: BTreeSet::new(),
+        rebooted: vec![false; config.nodes],
+        rebooted_list: Vec::new(),
         next_cmd_id: 1,
         unacked: 0,
         delay_rng: StdRng::seed_from_u64(stream_seed(master_seed, CH_DELAY)),
@@ -361,6 +385,36 @@ pub fn run_with_events(
     Ok(sim.finish())
 }
 
+/// Rejects an edge stream the simulator cannot replay: an edge for a node
+/// outside the ring, or a node whose edges do not alternate fault, repair,
+/// fault, ... in the order they will be detected (time order, ties in
+/// stream order — the event queue's pop order).
+fn validate_arrivals(config: &SimConfig, arrivals: &[NodeEvent]) -> Result<()> {
+    if let Some(edge) = arrivals.iter().find(|e| e.node.index() >= config.nodes) {
+        return Err(HbdError::invalid_config(format!(
+            "arrival edge for {} is outside the {}-node ring",
+            edge.node, config.nodes
+        )));
+    }
+    let detected = |i: usize| (arrivals[i].at + config.latencies.detection).value();
+    let mut order: Vec<usize> = (0..arrivals.len()).collect();
+    order.sort_by(|&a, &b| detected(a).total_cmp(&detected(b)));
+    let mut down = vec![false; config.nodes];
+    for i in order {
+        let edge = &arrivals[i];
+        let fault = edge.kind == NodeEventKind::Fault;
+        let state = &mut down[edge.node.index()];
+        if *state == fault {
+            return Err(HbdError::invalid_config(format!(
+                "arrival edge {i} ({:?} of {} at {}) repeats the node's previous edge",
+                edge.kind, edge.node, edge.at
+            )));
+        }
+        *state = fault;
+    }
+    Ok(())
+}
+
 /// The simulation state machine. One instance per run; single-threaded.
 struct Sim {
     config: SimConfig,
@@ -368,26 +422,39 @@ struct Sim {
     fabrics: Vec<FabricManager>,
     /// The manager's view of which nodes are down (detection-delayed).
     faults: FaultSet,
+    /// Nodes detected as flipped since the last plan: several detections can
+    /// land inside one planning window, and the next plan re-walks around
+    /// all of them.
+    changed: Vec<NodeId>,
     /// The plan the manager is currently converging the fabric towards.
     intended: RingPlan,
+    /// Per node, the planned bundles its fabric does not realise (0 for a
+    /// known-dead or not yet reconciled node; see [`Sim::node_mismatches`]).
+    mismatches: Vec<usize>,
+    /// Sum of `mismatches`: the convergence check reads only this.
+    mismatch_total: usize,
     queue: EventQueue<SimEvent>,
     clock: SimClock,
     timeline: Timeline,
-    pending: BTreeMap<u64, PendingCommand>,
+    /// Every issued command, indexed by `id − 1` (ids are dense from 1).
+    pending: Vec<PendingCommand>,
     /// Per node, the ids issued to it since its last detected fault: the
     /// only commands a new fault can cancel (earlier ones were cancelled by
     /// that fault already).
     issued_to: Vec<Vec<u64>>,
-    /// Newest command id issued per (node, bundle), for supersede tracking.
-    latest_cmd: BTreeMap<(NodeId, usize), u64>,
+    /// Newest command id issued per (node, bundle), node-major (0 = none),
+    /// for supersede tracking.
+    latest_cmd: Vec<u64>,
     /// Per-node incarnation counter, bumped on every detected repair.
     node_epoch: Vec<u64>,
-    /// Rebooted nodes not yet reconciled by a plan. A node repaired inside
-    /// the preceding fault's planning window never leaves the intended plan,
-    /// so the plan diff sees no change for it even though its fabric reset
-    /// to idle; the next [`Sim::on_plan_ready`] force-reissues its
-    /// directives and clears the flag.
-    rebooted_dirty: BTreeSet<NodeId>,
+    /// Rebooted nodes not yet reconciled by a plan, as a per-node flag plus
+    /// the list of flagged nodes. A node repaired inside the preceding
+    /// fault's planning window never leaves the intended plan, so the plan
+    /// diff sees no change for it even though its fabric reset to idle; the
+    /// next [`Sim::on_plan_ready`] force-reissues its directives, in node
+    /// order, and clears the flag.
+    rebooted: Vec<bool>,
+    rebooted_list: Vec<NodeId>,
     next_cmd_id: u64,
     /// Commands neither acknowledged nor superseded.
     unacked: usize,
@@ -413,10 +480,13 @@ impl Sim {
         for d in plan.iter() {
             self.fabrics[d.node.index()].apply(d.bundle, d.action)?;
         }
-        let segments = self.planner.segments(&self.faults).len();
+        let segments = self.planner.ring().segment_count(&self.faults);
         self.timeline
             .push(Seconds::ZERO, ControlEventKind::RingRestored { segments });
         self.intended = plan;
+        for node in 0..self.config.nodes {
+            self.refresh_mismatches(NodeId(node));
+        }
         Ok(())
     }
 
@@ -442,16 +512,17 @@ impl Sim {
         } else {
             self.faults.remove(node)
         };
-        // The edge streams alternate strictly per node and detection adds a
-        // constant latency, so redundant edges cannot occur.
+        // `validate_arrivals` admits only streams that alternate per node in
+        // detection order, so redundant edges cannot occur.
         debug_assert!(changed, "redundant availability edge for {node}");
+        self.changed.push(node);
         if fault {
             // Stop retransmitting to a dead node: every outstanding command
             // targeting it is cancelled. Copies already in the channel are
             // discarded on delivery (the node is down, and after a repair
             // the incarnation gate rejects them).
             for id in std::mem::take(&mut self.issued_to[node.index()]) {
-                let p = self.pending.get_mut(&id).expect("issued ids stay pending");
+                let p = &mut self.pending[slot(id)];
                 if !p.acked && !p.superseded {
                     p.superseded = true;
                     self.unacked -= 1;
@@ -466,8 +537,11 @@ impl Sim {
             // converges the rebooted hardware.
             self.node_epoch[node.index()] += 1;
             self.fabrics[node.index()] = FabricManager::new(node, self.config.k)?;
-            self.rebooted_dirty.insert(node);
+            if !std::mem::replace(&mut self.rebooted[node.index()], true) {
+                self.rebooted_list.push(node);
+            }
         }
+        self.refresh_mismatches(node);
         let kind = if fault {
             ControlEventKind::FaultDetected { node }
         } else {
@@ -481,26 +555,33 @@ impl Sim {
 
     fn on_plan_ready(&mut self, now: Seconds) -> Result<()> {
         self.report.plans_computed += 1;
-        let target = self.planner.plan(&self.faults)?;
-        let mut commands = self.intended.diff(&target);
+        let mut commands = self
+            .planner
+            .replan(&mut self.intended, &self.faults, &self.changed)?;
         // Reconcile rebooted nodes the diff cannot see: a node whose repair
         // was detected before the preceding fault's plan landed never left
         // the intended plan, so if the target keeps its directives unchanged
         // the diff issues nothing for it — yet its fabric reset to idle on
         // reboot. Force-reissue its non-idle target directives (the rebooted
-        // state already matches the idle ones).
-        if !self.rebooted_dirty.is_empty() {
-            let covered: BTreeSet<(NodeId, usize)> =
-                commands.iter().map(|c| (c.node, c.bundle)).collect();
-            let mut reconciled = Vec::new();
-            for &node in &self.rebooted_dirty {
+        // state already matches the idle ones), in node order.
+        let diffed = commands.len();
+        let mut touched = std::mem::take(&mut self.changed);
+        if !self.rebooted_list.is_empty() {
+            self.rebooted_list.sort_unstable();
+            let mut still_dirty = Vec::new();
+            for &node in &self.rebooted_list {
                 if self.faults.is_faulty(node) {
                     // Failed again before this plan: stays dirty and is
                     // re-marked on its next repair anyway.
+                    still_dirty.push(node);
                     continue;
                 }
-                for (bundle, action) in target.node(node).iter() {
-                    if action != BundleAction::Idle && !covered.contains(&(node, bundle)) {
+                for (bundle, action) in self.intended.node_slots(node).iter().enumerate() {
+                    let Some(action) = *action else { continue };
+                    let covered = commands[..diffed]
+                        .binary_search_by_key(&(node, bundle), |c| (c.node, c.bundle))
+                        .is_ok();
+                    if action != BundleAction::Idle && !covered {
                         commands.push(PortDirective {
                             node,
                             bundle,
@@ -509,12 +590,20 @@ impl Sim {
                         self.report.reissued += 1;
                     }
                 }
-                reconciled.push(node);
+                self.rebooted[node.index()] = false;
+                touched.push(node);
             }
-            for node in reconciled {
-                self.rebooted_dirty.remove(&node);
-            }
+            self.rebooted_list = still_dirty;
         }
+        // A node's mismatch count changes only where its plan row did (a
+        // diffed or flipped node) or its reboot flag cleared.
+        touched.extend(commands.iter().map(|c| c.node));
+        for &node in &touched {
+            self.refresh_mismatches(node);
+        }
+        touched.clear();
+        self.changed = touched;
+        self.debug_check_mismatches();
         self.timeline.push(
             now,
             ControlEventKind::PlanComputed {
@@ -528,29 +617,27 @@ impl Sim {
             // A fresher command for the same bundle obsoletes any unacked
             // predecessor: the manager stops retransmitting it and the
             // fabric's version gate neutralises copies still in flight.
-            if let Some(&prev) = self.latest_cmd.get(&(cmd.node, cmd.bundle)) {
-                if let Some(p) = self.pending.get_mut(&prev) {
-                    if !p.acked && !p.superseded {
-                        p.superseded = true;
-                        self.unacked -= 1;
-                        self.report.superseded += 1;
-                    }
+            let latest = &mut self.latest_cmd[cmd.node.index() * self.config.k + cmd.bundle];
+            if *latest != 0 {
+                let p = &mut self.pending[slot(*latest)];
+                if !p.acked && !p.superseded {
+                    p.superseded = true;
+                    self.unacked -= 1;
+                    self.report.superseded += 1;
                 }
             }
-            self.latest_cmd.insert((cmd.node, cmd.bundle), id);
+            *latest = id;
             self.issued_to[cmd.node.index()].push(id);
-            self.pending.insert(
-                id,
-                PendingCommand {
-                    node: cmd.node,
-                    bundle: cmd.bundle,
-                    action: cmd.action,
-                    attempt: 0,
-                    epoch: self.node_epoch[cmd.node.index()],
-                    acked: false,
-                    superseded: false,
-                },
-            );
+            debug_assert_eq!(self.pending.len() as u64, id - 1, "ids are dense from 1");
+            self.pending.push(PendingCommand {
+                node: cmd.node,
+                bundle: cmd.bundle,
+                action: cmd.action,
+                attempt: 0,
+                epoch: self.node_epoch[cmd.node.index()],
+                acked: false,
+                superseded: false,
+            });
             self.unacked += 1;
             self.report.commands_issued += 1;
             self.queue.push(
@@ -558,7 +645,6 @@ impl Sim {
                 SimEvent::CommandSend { id, attempt: 1 },
             );
         }
-        self.intended = target;
         if !had_commands && self.unacked == 0 {
             // Zero-command plan (e.g. an already-isolated node failed) with
             // nothing outstanding: converged on the spot. Mirrors the
@@ -579,9 +665,7 @@ impl Sim {
     }
 
     fn on_command_send(&mut self, now: Seconds, id: u64, attempt: u32) {
-        let Some(p) = self.pending.get_mut(&id) else {
-            return;
-        };
+        let p = &mut self.pending[slot(id)];
         if p.acked || p.superseded {
             return;
         }
@@ -617,9 +701,7 @@ impl Sim {
     }
 
     fn on_command_deliver(&mut self, now: Seconds, id: u64) -> Result<()> {
-        let Some(p) = self.pending.get(&id) else {
-            return Ok(());
-        };
+        let p = &self.pending[slot(id)];
         let (node, bundle, action) = (p.node, p.bundle, p.action);
         let reliable = self.is_final(p.attempt);
         if self.faults.is_faulty(node) || p.epoch != self.node_epoch[node.index()] {
@@ -632,6 +714,7 @@ impl Sim {
         let ack_base = match outcome {
             CommandOutcome::Applied(hw) => {
                 self.report.delivered_fresh += 1;
+                self.refresh_mismatches(node);
                 self.timeline.push(
                     now,
                     ControlEventKind::CommandApplied {
@@ -664,9 +747,7 @@ impl Sim {
     }
 
     fn on_ack_deliver(&mut self, now: Seconds, id: u64) {
-        let Some(p) = self.pending.get_mut(&id) else {
-            return;
-        };
+        let p = &mut self.pending[slot(id)];
         if p.acked {
             return;
         }
@@ -680,9 +761,7 @@ impl Sim {
     }
 
     fn on_retry_check(&mut self, now: Seconds, id: u64, attempt: u32) {
-        let Some(p) = self.pending.get(&id) else {
-            return;
-        };
+        let p = &self.pending[slot(id)];
         if p.acked || p.superseded || p.attempt != attempt {
             return;
         }
@@ -710,47 +789,74 @@ impl Sim {
     /// instantaneously fresh one: a detection whose re-planning is still in
     /// the planning window may already have updated the fault set. The
     /// end-of-run check in [`Sim::finish`] closes that gap.
+    ///
+    /// The check reads the incrementally maintained mismatch total; debug
+    /// builds cross-check it against the full scan on every call (and after
+    /// every plan).
     fn check_convergence(&mut self, now: Seconds, restored: bool) {
         self.report.convergence_checks += 1;
-        let plan = std::mem::take(&mut self.intended);
-        let ok = self.fabric_matches(&plan);
-        self.intended = plan;
-        if !ok {
+        self.debug_check_mismatches();
+        if self.mismatch_total != 0 {
             self.report.invariant_violations += 1;
         }
         if restored {
-            let segments = self.planner.segments(&self.faults).len();
+            let segments = self.planner.ring().segment_count(&self.faults);
             self.timeline
                 .push(now, ControlEventKind::RingRestored { segments });
         }
     }
 
-    fn fabric_matches(&self, plan: &RingPlan) -> bool {
-        plan.iter().all(|d| {
-            if self.faults.is_faulty(d.node) {
-                // Known-dead node whose removal is still in the planning
-                // window: its hardware is unreachable, its commands were
-                // cancelled on detection, and the pending plan drops it.
-                // (Never hit by the end-of-run check: fresh plans exclude
-                // faulty nodes.)
-                return true;
-            }
-            if self.rebooted_dirty.contains(&d.node) {
-                // Rebooted but not yet re-planned: the idle fabric is the
-                // expected transient, reconciled by the pending plan.
-                return true;
-            }
-            let Ok(state) = self.fabrics[d.node.index()].bundle_state(d.bundle) else {
-                return false;
-            };
-            matches!(
-                (state, d.action),
-                (BundleState::ActivePrimary, BundleAction::ActivatePrimary)
-                    | (BundleState::ActiveBackup, BundleAction::ActivateBackup)
-                    | (BundleState::Loopback, BundleAction::Loopback)
-                    | (BundleState::Idle, BundleAction::Idle)
-            )
-        })
+    /// Debug builds: the incremental mismatch total equals the full scan.
+    fn debug_check_mismatches(&self) {
+        debug_assert_eq!(
+            self.mismatch_total,
+            self.fabric_mismatches(&self.intended),
+            "incremental mismatch total diverged from the full scan"
+        );
+    }
+
+    /// Re-counts one node's mismatches against the intended plan.
+    fn refresh_mismatches(&mut self, node: NodeId) {
+        let count = self.node_mismatches(&self.intended, node);
+        let slot = &mut self.mismatches[node.index()];
+        self.mismatch_total = self.mismatch_total - *slot + count;
+        *slot = count;
+    }
+
+    /// The bundles of `node` that `plan` mentions but its fabric does not
+    /// realise.
+    fn node_mismatches(&self, plan: &RingPlan, node: NodeId) -> usize {
+        if self.faults.is_faulty(node) {
+            // Known-dead node whose removal is still in the planning window:
+            // its hardware is unreachable, its commands were cancelled on
+            // detection, and the pending plan drops it. (Never hit by the
+            // end-of-run check: fresh plans exclude faulty nodes.)
+            return 0;
+        }
+        if self.rebooted[node.index()] {
+            // Rebooted but not yet re-planned: the idle fabric is the
+            // expected transient, reconciled by the pending plan.
+            return 0;
+        }
+        let fabric = &self.fabrics[node.index()];
+        plan.node_slots(node)
+            .iter()
+            .enumerate()
+            .filter(|(bundle, action)| {
+                action.is_some_and(|action| {
+                    !fabric
+                        .bundle_state(*bundle)
+                        .is_ok_and(|state| realises(state, action))
+                })
+            })
+            .count()
+    }
+
+    /// The full-scan oracle of the mismatch total: every node re-counted.
+    fn fabric_mismatches(&self, plan: &RingPlan) -> usize {
+        (0..self.config.nodes)
+            .map(|n| self.node_mismatches(plan, NodeId(n)))
+            .sum()
     }
 
     /// Runs the end-of-run checks and packages the report.
@@ -760,7 +866,9 @@ impl Sim {
         // final fault set — and the fabric must realise it.
         let fresh = self.planner.plan(&self.faults);
         let converged = match fresh {
-            Ok(fresh) => self.unacked == 0 && self.intended == fresh && self.fabric_matches(&fresh),
+            Ok(fresh) => {
+                self.unacked == 0 && self.intended == fresh && self.fabric_mismatches(&fresh) == 0
+            }
             Err(_) => false,
         };
         if !converged {
@@ -772,6 +880,11 @@ impl Sim {
         self.report.timeline = self.timeline;
         self.report
     }
+}
+
+/// The index of command `id` in `Sim::pending` (ids are dense from 1).
+fn slot(id: u64) -> usize {
+    (id - 1) as usize
 }
 
 #[cfg(test)]
@@ -955,6 +1068,51 @@ mod tests {
             superseded_seen,
             "the overlap regime must exercise supersede tracking"
         );
+    }
+
+    fn edge(at: f64, node: usize, kind: NodeEventKind) -> NodeEvent {
+        NodeEvent {
+            at: Seconds(at),
+            node: NodeId(node),
+            kind,
+        }
+    }
+
+    #[test]
+    fn edge_for_a_node_outside_the_ring_is_a_typed_error() {
+        let config = test_config(MessageFaults::reliable());
+        let arrivals = [
+            edge(1.0, 3, NodeEventKind::Fault),
+            edge(2.0, config.nodes, NodeEventKind::Fault),
+        ];
+        let err = run_with_events(&config, 1, &arrivals).unwrap_err();
+        assert!(matches!(err, HbdError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn non_alternating_edges_are_a_typed_error() {
+        use NodeEventKind::{Fault, Repair};
+        let config = test_config(MessageFaults::reliable());
+        for arrivals in [
+            vec![edge(1.0, 3, Fault), edge(2.0, 3, Fault)],
+            vec![edge(1.0, 3, Repair)],
+            vec![
+                edge(1.0, 3, Fault),
+                edge(2.0, 3, Repair),
+                edge(3.0, 3, Repair),
+            ],
+            // Detection order, not stream order, decides: the repair lands
+            // first here.
+            vec![edge(5.0, 3, Fault), edge(2.0, 3, Repair)],
+        ] {
+            let err = run_with_events(&config, 1, &arrivals).unwrap_err();
+            assert!(matches!(err, HbdError::InvalidConfig { .. }), "{err}");
+        }
+        // A stream out of time order whose detections still alternate runs.
+        let arrivals = [edge(9.0, 3, Repair), edge(4.0, 3, Fault)];
+        let report = run_with_events(&config, 1, &arrivals).unwrap();
+        assert!(report.final_converged);
+        assert_eq!(report.plans_computed, 2);
     }
 
     /// The experiment-scale deployment of the `sim_seeds` sweep (larger ring,

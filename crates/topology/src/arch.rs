@@ -182,6 +182,60 @@ impl FaultSet {
         }
     }
 
+    /// The first ids of the maximal faulty runs of at least `k` consecutive
+    /// ids that start in `lo..hi`, ascending. A run starts at `s` when `s`
+    /// is faulty and `s − 1` is not (or `s = 0`); the run may extend past
+    /// `hi`. Word-parallel: each stored word is tested for run starts with
+    /// one shift-and-mask per extra run position, so a scan costs O(words)
+    /// for the small `k` of a K-Hop ring, not O(ids).
+    pub fn long_run_starts(
+        &self,
+        lo: usize,
+        hi: usize,
+        k: usize,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        assert!(k > 0, "a run is at least one id long");
+        let hi = hi.min(self.words.len() * WORD_BITS);
+        let lo = lo.min(hi);
+        (lo / WORD_BITS..hi.div_ceil(WORD_BITS)).flat_map(move |i| {
+            let word = self.words[i];
+            let carry = if i == 0 {
+                0
+            } else {
+                self.words[i - 1] >> (WORD_BITS - 1)
+            };
+            let mut starts = word & !((word << 1) | carry);
+            let mut shift = 1;
+            while starts != 0 && shift < k {
+                starts &= self.bits_from(i * WORD_BITS + shift);
+                shift += 1;
+            }
+            let base = i * WORD_BITS;
+            if base < lo {
+                starts &= !0u64 << (lo - base);
+            }
+            if hi - base < WORD_BITS {
+                starts &= !(!0u64 << (hi - base));
+            }
+            std::iter::successors((starts != 0).then_some(starts), |s| {
+                let rest = s & (s - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |s| NodeId(base + s.trailing_zeros() as usize))
+        })
+    }
+
+    /// The 64 fault bits of ids `from..from + 64` as one word (ids past the
+    /// stored capacity read as healthy).
+    fn bits_from(&self, from: usize) -> u64 {
+        let (word, bit) = (from / WORD_BITS, from % WORD_BITS);
+        if bit == 0 {
+            self.word_at(word)
+        } else {
+            (self.word_at(word) >> bit) | (self.word_at(word + 1) << (WORD_BITS - bit))
+        }
+    }
+
     /// Returns `self ∪ other` without mutating either side — the what-if
     /// primitive of the placement service, which overlays hypothetical faults
     /// on a shared snapshot it must not touch.

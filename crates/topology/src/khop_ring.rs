@@ -209,6 +209,54 @@ impl KHopRing {
         segments
     }
 
+    /// Number of healthy segments under `faults`, without materialising any:
+    /// `healthy_segments(faults).len()`.
+    ///
+    /// The run scan opens one segment at the first healthy node and one more
+    /// after every internal cut (a run of `K` or more faults between the
+    /// first and the last healthy node); the closed-ring wraparound merge
+    /// then joins the first and last of them. The cuts are counted
+    /// word-parallel by [`FaultSet::long_run_starts`], O(words).
+    pub fn segment_count(&self, faults: &FaultSet) -> usize {
+        let Some((first, last)) = self.healthy_extent(faults) else {
+            return 0;
+        };
+        let cuts = faults.long_run_starts(first + 1, last, self.k).count();
+        let merged = self.closed && cuts > 0 && self.nodes - last + first <= self.k;
+        cuts + 1 - usize::from(merged)
+    }
+
+    /// Whether the healthy nodes stay linked across the deployment boundary:
+    /// the ring is closed and either no node is faulty (one full cycle) or
+    /// the wraparound merge of [`healthy_segments`](Self::healthy_segments)
+    /// joins its first and last segment. Otherwise every segment is a chain
+    /// in deployment order and the boundary acts as a cut.
+    pub fn spans_boundary(&self, faults: &FaultSet) -> bool {
+        let Some((first, last)) = self.healthy_extent(faults) else {
+            return false;
+        };
+        self.closed
+            && (faults.count_in_range(0, self.nodes) == 0
+                || (self.nodes - last + first <= self.k
+                    && faults
+                        .long_run_starts(first + 1, last, self.k)
+                        .next()
+                        .is_some()))
+    }
+
+    /// The first and last healthy node, if any node is healthy.
+    fn healthy_extent(&self, faults: &FaultSet) -> Option<(usize, usize)> {
+        let first = faults.faulty_run(NodeId(0));
+        if first >= self.nodes {
+            return None;
+        }
+        let last = (first..self.nodes)
+            .rev()
+            .find(|&n| !faults.is_faulty(NodeId(n)))
+            .expect("`first` is healthy");
+        Some((first, last))
+    }
+
     /// Total number of usable GPUs under `faults` for TP groups of `tp_size`.
     ///
     /// Fast path of [`healthy_segments`](Self::healthy_segments): only the
@@ -424,5 +472,83 @@ mod tests {
         // A single fault costs at most the faulty node's own GPUs plus at most
         // one fragmented TP group.
         assert!(ring.fault_explosion_radius(32) <= 32 + 4);
+    }
+
+    #[test]
+    fn segment_count_and_boundary_span_on_examples() {
+        let ring = KHopRing::new(16, 4, 2).unwrap();
+        let line = KHopRing::line(16, 4, 2).unwrap();
+        assert_eq!(ring.segment_count(&FaultSet::new()), 1);
+        assert!(ring.spans_boundary(&FaultSet::new()));
+        assert!(!line.spans_boundary(&FaultSet::new()));
+        // One bypassed fault: one segment, a chain from node 0 to node 15.
+        assert_eq!(ring.segment_count(&faults(&[5])), 1);
+        assert!(!ring.spans_boundary(&faults(&[5])));
+        // A K-run cuts the line; the closed ring re-joins over the boundary.
+        assert_eq!(line.segment_count(&faults(&[7, 8])), 2);
+        assert_eq!(ring.segment_count(&faults(&[7, 8])), 1);
+        assert!(ring.spans_boundary(&faults(&[7, 8])));
+        // ... unless the boundary gap exceeds K as well.
+        assert_eq!(ring.segment_count(&faults(&[0, 1, 7, 8])), 2);
+        assert!(!ring.spans_boundary(&faults(&[0, 1, 7, 8])));
+        assert_eq!(ring.segment_count(&faults(&(0..16).collect::<Vec<_>>())), 0);
+    }
+
+    /// One random deployment for the count oracles: K, closed?, n and one
+    /// uniform draw per node (faulty if below the density).
+    fn deployment() -> impl proptest::strategy::Strategy<Value = (usize, bool, usize, Vec<usize>)> {
+        use proptest::prelude::*;
+        (1usize..=5, 0u8..2, 1usize..=150, 0usize..=80).prop_flat_map(|(k, closed, n, density)| {
+            let closed = closed == 1;
+            let draws = prop::collection::vec(0usize..100, n).prop_map(move |draws| {
+                draws
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &d)| d < density)
+                    .map(|(i, _)| i)
+                    .collect::<Vec<_>>()
+            });
+            (Just(k), Just(closed), Just(n), draws)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The count-only scan agrees with the materialising one, and the
+        /// boundary span with the wraparound merge, for open and closed
+        /// rings and K from 1 to 5.
+        #[test]
+        fn segment_count_matches_healthy_segments((k, closed, n, faulty) in deployment()) {
+            let ring = if closed {
+                KHopRing::new(n, 8, k)
+            } else {
+                KHopRing::line(n, 8, k)
+            }
+            .unwrap();
+            let f = faults(&faulty);
+            let segments = ring.healthy_segments(&f);
+            proptest::prop_assert_eq!(ring.segment_count(&f), segments.len());
+            let spans = closed && (faulty.is_empty() || segments.iter().any(|s| s.wraps));
+            proptest::prop_assert_eq!(ring.spans_boundary(&f), spans);
+        }
+
+        /// `long_run_starts` agrees with a per-id walk on every sub-range.
+        #[test]
+        fn long_run_starts_match_a_walk(
+            (k, _, n, faulty) in deployment(),
+            lo in 0usize..160,
+            len in 0usize..160,
+        ) {
+            let f = faults(&faulty);
+            let hi = lo + len;
+            let is = |i: usize| f.is_faulty(NodeId(i));
+            let walk: Vec<NodeId> = (lo..hi)
+                .filter(|&s| is(s) && (s == 0 || !is(s - 1)) && (s..s + k).all(is))
+                .map(NodeId)
+                .collect();
+            proptest::prop_assert_eq!(f.long_run_starts(lo, hi, k).collect::<Vec<_>>(), walk);
+            let _ = n;
+        }
     }
 }
